@@ -7,7 +7,7 @@ weights, localizes the anomalous value inside flagged windows, imputes it, and
 measures the downstream effect on parametric portfolio VaR.
 """
 
-from . import cli, density, detector, evaluation, io, pcafeat, riskmetrics, scorer, simgen, workflows
+from . import density, detector, evaluation, io, pcafeat, riskmetrics, scorer, simgen, workflows
 from .density import KdeModel, auc_above, auc_below, fit_kde, intersection_cutoff
 from .detector import (
     DetectionModel,
@@ -33,7 +33,6 @@ from .pcafeat import (
     PcaModel,
     calibrate_latent_dim,
     fit_pca,
-    jacobi_eigh,
     reconstruction_errors,
 )
 from .riskmetrics import (

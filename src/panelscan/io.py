@@ -3,14 +3,16 @@
 Every file is UTF-8 with LF line endings and `.` as the decimal point.
 Floats are written with 17 significant digits, so write/read round trips
 reproduce the in-memory values bit-exactly. Readers raise ValueError on
-malformed content and OSError on filesystem problems; the CLI maps those to
-its exit codes.
+malformed content, including non-finite numbers, and OSError on filesystem
+problems; the CLI maps those to its exit codes. JSON reports write non-finite
+floats as null, never as bare NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -46,6 +48,14 @@ def _parse_float(text, path, what):
         raise ValueError(f"{path}: malformed {what} {text!r}") from exc
 
 
+def _finite(values, path, what):
+    """The array itself, or ValueError when any entry is nan or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: non-finite {what}")
+    return values
+
+
 # -- panels ------------------------------------------------------------------
 
 def write_panel(path, prices, series_ids=None, fmt=_FLOAT_FMT):
@@ -78,7 +88,7 @@ def read_panel(path):
         prices.append([_parse_float(v, path, "price") for v in row[1:]])
     if not prices:
         raise ValueError(f"{path}: panel has no series")
-    return series_ids, np.asarray(prices)
+    return series_ids, _finite(prices, path, "price")
 
 
 def write_value_labels(path, labels, series_ids=None):
@@ -116,7 +126,7 @@ def read_params(path):
             store.append(_parse_float(value, path, name))
     if not cols[0]:
         raise ValueError(f"{path}: params file has no series")
-    return tuple(np.asarray(c) for c in cols)
+    return tuple(_finite(c, path, name) for c, name in zip(cols, ("s0", "mu", "sigma")))
 
 
 def write_weights(path, weights, series_ids=None):
@@ -135,10 +145,16 @@ def read_weights(path):
     rows = _read_rows(path)
     if not rows or rows[0] != ["series_id", "weight"]:
         raise ValueError(f"{path}: expected header series_id,weight")
-    values = [_parse_float(row[1], path, "weight") for row in rows[1:] if row]
+    values = []
+    for row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: weights row {row!r} needs 2 fields, got {len(row)}")
+        values.append(_parse_float(row[1], path, "weight"))
     if not values:
         raise ValueError(f"{path}: weights file has no rows")
-    return np.asarray(values)
+    return _finite(values, path, "weight")
 
 
 # -- window labels -----------------------------------------------------------
@@ -232,7 +248,8 @@ def read_pca_model(path) -> PcaModel:
         raise ValueError(f"{path}: truncated PCA model file") from exc
     if omega.shape != (k, p):
         raise ValueError(f"{path}: omega shape {omega.shape} != ({k}, {p})")
-    return PcaModel(mean=mean, omega=omega, eigenvalues=eigenvalues, k=k)
+    return PcaModel(mean=_finite(mean, path, "mean"), omega=_finite(omega, path, "omega"),
+                    eigenvalues=_finite(eigenvalues, path, "eigenvalues"), k=k)
 
 
 def write_network(path, net: ScoringNetwork):
@@ -275,10 +292,13 @@ def read_network(path) -> ScoringNetwork:
                 raise ValueError(f"{path}: W{layer} shape {W.shape} != ({fan_out}, {fan_in})")
             b = np.asarray(_split_tagged(lines[cursor], f"b{layer}", path, fan_out))
             cursor += 1
-            weights.append(W)
-            biases.append(b)
+            weights.append(_finite(W, path, f"W{layer}"))
+            biases.append(_finite(b, path, f"b{layer}"))
     except IndexError as exc:
         raise ValueError(f"{path}: truncated network file") from exc
+    _finite([tau, s], path, "tau or s")
+    if tau <= 0:
+        raise ValueError(f"{path}: tau must be positive, got {tau!r}")
     return ScoringNetwork(layer_dims=dims, weights=weights, biases=biases,
                           cutoff=s, temperature=tau)
 
@@ -348,7 +368,8 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        value = float(obj)
+        return value if math.isfinite(value) else None
     if hasattr(obj, "as_dict"):
         return _jsonable(obj.as_dict())
     return obj
@@ -356,7 +377,7 @@ def _jsonable(obj):
 
 def write_json(path, payload):
     with _open_write(path) as handle:
-        json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

@@ -39,69 +39,28 @@ class FeatureMatrix:
     epsilon: np.ndarray  # n x p reconstruction errors
 
 
-def jacobi_eigh(matrix, tol=1e-10, max_sweeps=100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def _eigh_descending(cov):
+    """Eigenpairs of a covariance by LAPACK, eigenvalues descending.
 
-    Sweeps annihilate each off-diagonal entry in turn until the off-diagonal
-    Frobenius norm falls below tol relative to the matrix norm (an absolute
-    1e-10 is below float64 reach for price-scale covariances). Returns
-    (eigenvalues, eigenvectors) sorted descending, eigenvectors as columns,
-    each with its largest-magnitude component positive.
+    Eigenvectors are columns, each with its largest-magnitude component
+    positive, so the basis is deterministic up to LAPACK's own round-off.
     """
-    A = np.array(matrix, dtype=float)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if not np.allclose(A, A.T, atol=1e-8 * max(1.0, np.abs(A).max())):
-        raise ValueError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    scale = np.linalg.norm(A)
-    if scale == 0.0:
-        return np.zeros(n), V
-    threshold = tol * scale
-    # annihilating entries below skip makes no progress worth the rotation
-    skip = threshold / max(n, 1) * 1e-2
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.triu(A, 1) ** 2))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                new_p = c * A[:, p] - s * A[:, q]
-                new_q = s * A[:, p] + c * A[:, q]
-                A[:, p] = new_p
-                A[:, q] = new_q
-                new_p = c * A[p, :] - s * A[q, :]
-                new_q = s * A[p, :] + c * A[q, :]
-                A[p, :] = new_p
-                A[q, :] = new_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                new_p = c * V[:, p] - s * V[:, q]
-                new_q = s * V[:, p] + c * V[:, q]
-                V[:, p] = new_p
-                V[:, q] = new_q
-    eigenvalues = np.diag(A).copy()
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    V = V[:, order]
-    # deterministic sign: largest-magnitude component of each vector positive
-    for j in range(n):
-        lead = np.argmax(np.abs(V[:, j]))
-        if V[lead, j] < 0:
-            V[:, j] = -V[:, j]
-    return eigenvalues, V
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    eigenvalues = eigenvalues[::-1]
+    eigenvectors = eigenvectors[:, ::-1]
+    lead = np.argmax(np.abs(eigenvectors), axis=0)
+    columns = np.arange(eigenvectors.shape[1])
+    signs = np.where(eigenvectors[lead, columns] < 0.0, -1.0, 1.0)
+    return eigenvalues, eigenvectors * signs
+
+
+def _covariance(X):
+    """Training means and the 1/(n-1) covariance of the centered rows."""
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X_train must be finite")
+    mean = X.mean(axis=0)
+    centered = X - mean
+    return mean, centered, centered.T @ centered / (X.shape[0] - 1)
 
 
 def fit_pca(X_train, k) -> PcaModel:
@@ -119,10 +78,8 @@ def fit_pca(X_train, k) -> PcaModel:
     k = int(k)
     if not 1 <= k <= p:
         raise ValueError(f"k must lie in 1..{p}, got {k}")
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / (n - 1)
-    eigenvalues, eigenvectors = jacobi_eigh(cov)
+    mean, _, cov = _covariance(X)
+    eigenvalues, eigenvectors = _eigh_descending(cov)
     eigenvalues = np.clip(eigenvalues, 0.0, None)  # covariance is PSD; clip round-off
     return PcaModel(mean=mean, omega=eigenvectors[:, :k].T.copy(),
                     eigenvalues=eigenvalues[:k].copy(), k=k)
@@ -167,7 +124,7 @@ def calibrate_latent_dim(X_train, A_train, k_grid, tolerance=0.02):
     A = np.asarray(A_train)
     if X.ndim != 2 or X.shape[0] != A.size:
         raise ValueError("X_train and A_train disagree on the number of rows")
-    n, p = X.shape
+    p = X.shape[1]
     grid = sorted({int(k) for k in np.asarray(k_grid).ravel()})
     if not grid:
         raise ValueError("degenerate grid: no candidate dimensions")
@@ -175,10 +132,8 @@ def calibrate_latent_dim(X_train, A_train, k_grid, tolerance=0.02):
         raise ValueError(f"degenerate grid: candidates must lie in 1..{p}")
     if not (np.any(A == 1) and np.any(A == 0)):
         raise ValueError("both classes required to calibrate")
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / (n - 1)
-    _, eigenvectors = jacobi_eigh(cov)
+    _, centered, cov = _covariance(X)
+    _, eigenvectors = _eigh_descending(cov)
     projections = centered @ eigenvectors
     cumulative = np.cumsum(projections**2, axis=1)
     total = np.sum(centered**2, axis=1)

@@ -16,8 +16,9 @@ with respect to every score and to s are exact:
     d AUC_u / d s = -f_u(s),   d AUC_c / d s = +f_c(s),
 
 and per-score derivatives are kernel CDF derivatives. Everything else is
-plain backpropagation; the optimizer is full-batch Adam and the returned
-parameters are the best-loss snapshot seen during the run.
+plain backpropagation. The optimizer is Adam on 16-row minibatches by default
+(full-batch on request); the loss is observed on the full training set at
+every iteration, and the returned parameters are the best-loss snapshot.
 """
 
 from __future__ import annotations
@@ -109,14 +110,27 @@ def _forward_cached(net, batch):
 
 
 def forward(net: ScoringNetwork, epsilon):
-    """Score reconstruction-error rows; scalar for a single row."""
+    """Score reconstruction-error rows; scalar for a single row.
+
+    Hidden layers run unit-major, W @ a^T with activations stored as
+    units x rows, on a column-major view of the batch (a C-ordered batch is
+    copied once), so the scores do not depend on the input's memory layout.
+    The single-unit output layer reads a C-contiguous row-major copy of the
+    last hidden activation. A single row gives bits identical to the
+    row-major chain a @ W^T + b; a batch agrees with it to round-off.
+    """
     x = np.asarray(epsilon, dtype=float)
     squeeze = x.ndim == 1
     batch = np.atleast_2d(x)
     if batch.shape[1] != net.layer_dims[0]:
         raise ValueError(f"expected rows of length {net.layer_dims[0]}, got {batch.shape[1]}")
-    scores, _, _ = _forward_cached(net, batch)
-    return float(scores[0]) if squeeze else scores
+    a = np.asfortranarray(batch).T
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = W @ a
+        z += b[:, None]
+        a = np.maximum(z, 0.0, out=z)
+    scores = np.ascontiguousarray(a.T) @ net.weights[-1].T + net.biases[-1]
+    return float(scores[0, 0]) if squeeze else scores[:, 0]
 
 
 def smooth_labels(net: ScoringNetwork, scores):
@@ -291,7 +305,8 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         raise ValueError("learning_rate must be positive")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    batch = np.atleast_2d(np.asarray(epsilon_train, dtype=float))
+    # column-major once: every observation below runs forward on the whole set
+    batch = np.asfortranarray(np.atleast_2d(np.asarray(epsilon_train, dtype=float)))
     labels = np.asarray(A_train, dtype=float).ravel()
     if labels.size != batch.shape[0]:
         raise ValueError("labels and batch disagree on the number of rows")

@@ -34,13 +34,13 @@ ADF_REJECT_FLOOR = 0.99
 
 PROPERTY_SUITE = (
     "tests/test_scorer.py::test_gradients_match_finite_differences",
-    "tests/test_pcafeat.py::test_jacobi_matches_power_iteration_on_covariances",
+    "tests/test_pcafeat.py::test_fit_pca_matches_power_iteration_on_covariances",
     "tests/test_density.py::test_density_integrates_to_one",
     "tests/test_density.py::test_tail_mass_matches_trapezoid_quadrature",
     "tests/test_riskmetrics.py::test_norm_quantile_matches_bisection_oracle",
     "tests/test_simgen.py::test_simulation_is_bit_identical_per_seed",
     "tests/test_simgen.py::test_select_is_deterministic_and_seed_sensitive",
-    "tests/test_pcafeat.py::test_jacobi_sign_convention_and_determinism",
+    "tests/test_pcafeat.py::test_fit_pca_sign_convention_and_determinism",
     "tests/test_scorer.py::test_training_is_deterministic_per_seed",
     "tests/test_cli.py::test_simulate_same_seed_is_byte_identical",
     "tests/test_cli.py::test_fit_same_seed_is_byte_identical",

@@ -1,5 +1,10 @@
 """End-to-end CLI runs: exit codes, byte-level reproducibility, report shapes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -271,6 +276,31 @@ def test_var_shape_mismatch_exits_3(workdir, tmp_path):
                 "--params", workdir / "params.csv", *_model_flags(workdir)) == 3
 
 
+def _var_flags(workdir, tmp_path):
+    return ["var", "--out-dir", tmp_path, "--quiet",
+            "--clean", workdir / "clean_panel.csv",
+            "--value-labels", workdir / "value_labels.csv",
+            "--params", workdir / "params.csv", *_model_flags(workdir)]
+
+
+def test_var_non_finite_price_exits_2(workdir, tmp_path, capsys):
+    _, prices = io.read_panel(workdir / "contaminated_panel.csv")
+    for bad in (np.nan, np.inf):
+        prices[1, 17] = bad
+        io.write_panel(tmp_path / "bad.csv", prices)
+        assert _run(*_var_flags(workdir, tmp_path), "--panel", tmp_path / "bad.csv") == 2
+        assert "non-finite price" in capsys.readouterr().err
+    assert not (tmp_path / "var_report.json").exists()
+
+
+def test_var_weights_row_without_two_fields_exits_2(workdir, tmp_path, capsys):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("series_id,weight\n0,0.5\n1\n2,0.5\n")
+    assert _run(*_var_flags(workdir, tmp_path), "--panel", workdir / "contaminated_panel.csv",
+                "--weights", weights) == 2
+    assert "['1'] needs 2 fields" in capsys.readouterr().err
+
+
 # -- bench ---------------------------------------------------------------
 
 
@@ -345,3 +375,16 @@ def test_help_exits_0(capsys):
 def test_unknown_flag_exits_2(capsys):
     assert cli.main(["simulate", "--no-such-flag"]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_points_exit_0_with_empty_stderr():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    for module in ("panelscan", "panelscan.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "--help"], cwd=root, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "simulate" in proc.stdout

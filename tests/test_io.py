@@ -150,6 +150,33 @@ def test_read_weights_validation(tmp_path):
         io.read_weights(path)
 
 
+def test_read_weights_rejects_rows_without_two_fields(tmp_path):
+    path = tmp_path / "weights.csv"
+    for bad_row in ("1", "1,0.5,9"):
+        path.write_text(f"series_id,weight\n0,0.5\n{bad_row}\n")
+        with pytest.raises(ValueError, match="needs 2 fields"):
+            io.read_weights(path)
+    path.write_text("series_id,weight\n0,0.5\n\n1,0.5\n")  # blank lines are skipped
+    np.testing.assert_array_equal(io.read_weights(path), [0.5, 0.5])
+
+
+NON_FINITE = ("nan", "inf", "-inf", "1e400")
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_csv_readers_reject_non_finite_values(tmp_path, token):
+    path = tmp_path / "file.csv"
+    path.write_text(f"series_id,t_1,t_2\n0,1.0,2.0\n1,{token},2.0\n")
+    with pytest.raises(ValueError, match="non-finite price"):
+        io.read_panel(path)
+    path.write_text(f"series_id,s0,mu,sigma\n0,1.0,0.1,{token}\n")
+    with pytest.raises(ValueError, match="non-finite sigma"):
+        io.read_params(path)
+    path.write_text(f"series_id,weight\n0,0.5\n1,{token}\n")
+    with pytest.raises(ValueError, match="non-finite weight"):
+        io.read_weights(path)
+
+
 # -- window labels ---------------------------------------------------------
 
 
@@ -290,6 +317,35 @@ def test_read_network_validation(tmp_path):
         io.read_network(path)
 
 
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_model_readers_reject_non_finite_values(tmp_path, token):
+    path = tmp_path / "model.txt"
+    io.write_network(path, _toy_network())
+    lines = path.read_text().splitlines()
+    for index, prefix in ((2, "tau "), (3, "s "), (5, ""), (len(lines) - 1, "b2 ")):
+        bad = list(lines)
+        bad[index] = prefix + " ".join([token] + bad[index][len(prefix):].split()[1:])
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            io.read_network(path)
+    io.write_pca_model(path, _fitted_pca())
+    lines = path.read_text().splitlines()
+    lines[-1] = " ".join([token] + lines[-1].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite omega"):
+        io.read_pca_model(path)
+
+
+def test_read_network_rejects_non_positive_tau(tmp_path):
+    path = tmp_path / "net.txt"
+    for tau in (0.0, -0.2):
+        net = _toy_network()
+        net.temperature = tau
+        io.write_network(path, net)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            io.read_network(path)
+
+
 # -- reports -----------------------------------------------------------------
 
 
@@ -368,6 +424,20 @@ def test_write_json_uses_as_dict_hook(tmp_path):
     path = tmp_path / "hook.json"
     io.write_json(path, {"inner": Wrapped()})
     assert io.read_json(path) == {"inner": {"x": 2.5}}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"bare {name} in JSON")
+
+
+def test_write_json_writes_null_for_non_finite_floats(tmp_path):
+    path = tmp_path / "report.json"
+    payload = {"nan": float("nan"), "inf": np.float64(np.inf), "fine": 0.25,
+               "values": np.array([1.0, -np.inf, np.nan]), "nested": [{"x": -np.inf}]}
+    io.write_json(path, payload)
+    back = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    assert back == {"nan": None, "inf": None, "fine": 0.25,
+                    "values": [1.0, None, None], "nested": [{"x": None}]}
 
 
 def test_read_json_rejects_malformed(tmp_path):

@@ -1,4 +1,4 @@
-"""Jacobi eigensolver and PCA reconstruction-error features."""
+"""PCA fit on LAPACK eigh and reconstruction-error features."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from panelscan import pcafeat
 INV_SQRT2 = 0.7071067811865476
 
 # [[2,1,0],[1,2,0],[0,0,2]] has spectrum {3, 2, 1} with eigenvectors
-# [1,1,0]/sqrt(2), e3, [1,-1,0]/sqrt(2) after the sign convention.
+# [1,1,0]/sqrt(2), e3, [1,-1,0]/sqrt(2) after the sign convention (columns).
 FROZEN_MATRIX = np.array([
     [2.0, 1.0, 0.0],
     [1.0, 2.0, 0.0],
@@ -22,24 +22,38 @@ FROZEN_VECTORS = np.array([
 ])
 
 
-def test_jacobi_frozen_three_by_three():
-    values, vectors = pcafeat.jacobi_eigh(FROZEN_MATRIX)
-    np.testing.assert_allclose(values, FROZEN_VALUES, atol=1e-12)
-    np.testing.assert_allclose(vectors, FROZEN_VECTORS, atol=1e-12)
+def _rows_with_covariance(cov, n_rows=50, offset=10.0, seed=0):
+    """Rows whose 1/(n-1) sample covariance is cov up to round-off."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n_rows, cov.shape[0]))
+    # orthonormal columns spanning centered data keep zero column means
+    q, _ = np.linalg.qr(raw - raw.mean(axis=0))
+    return offset + np.sqrt(n_rows - 1.0) * q @ np.linalg.cholesky(cov).T
 
 
-def test_jacobi_matches_lapack_on_random_symmetric():
+def test_fit_pca_frozen_three_by_three():
+    model = pcafeat.fit_pca(_rows_with_covariance(FROZEN_MATRIX), k=3)
+    np.testing.assert_allclose(model.mean, 10.0, atol=1e-12)
+    np.testing.assert_allclose(model.eigenvalues, FROZEN_VALUES, atol=1e-12)
+    np.testing.assert_allclose(model.omega[:2], FROZEN_VECTORS.T[:2], atol=1e-12)
+    # [1,-1,0]/sqrt(2) ties on its largest magnitude, so round-off picks its sign
+    third = model.omega[2]
+    np.testing.assert_allclose(third * np.sign(third[0]), FROZEN_VECTORS[:, 2], atol=1e-12)
+    assert third[np.argmax(np.abs(third))] > 0
+
+
+def test_fit_pca_eigenpairs_solve_the_covariance():
     rng = np.random.default_rng(42)
     for _ in range(5):
-        raw = rng.standard_normal((8, 8))
-        A = (raw + raw.T) / 2.0
-        values, vectors = pcafeat.jacobi_eigh(A)
-        reference = np.sort(np.linalg.eigvalsh(A))[::-1]
-        np.testing.assert_allclose(values, reference, atol=1e-8 * np.linalg.norm(A))
-        # columns are orthonormal eigenvectors of A
-        np.testing.assert_allclose(vectors.T @ vectors, np.eye(8), atol=1e-10)
-        residual = A @ vectors - vectors * values
-        assert np.abs(residual).max() <= 1e-8 * np.linalg.norm(A)
+        X = rng.standard_normal((40, 8)) @ rng.standard_normal((8, 8))
+        model = pcafeat.fit_pca(X, k=8)
+        cov = np.cov(X, rowvar=False)
+        scale = np.linalg.norm(cov)
+        # rows of omega are orthonormal eigenvectors of the sample covariance
+        np.testing.assert_allclose(model.omega @ model.omega.T, np.eye(8), atol=1e-10)
+        residual = cov @ model.omega.T - model.omega.T * model.eigenvalues
+        assert np.abs(residual).max() <= 1e-10 * scale
+        np.testing.assert_allclose(model.eigenvalues.sum(), np.trace(cov), rtol=1e-12)
 
 
 def _power_iteration_eigh(A, tol=5e-13, max_iters=200000):
@@ -75,57 +89,61 @@ def _power_iteration_eigh(A, tol=5e-13, max_iters=200000):
     return values, vectors
 
 
-def test_jacobi_matches_power_iteration_on_covariances():
+def test_fit_pca_matches_power_iteration_on_covariances():
     rng = np.random.default_rng(17)
     for _ in range(5):
-        raw = rng.standard_normal((12, 8))
-        A = raw.T @ raw / 12.0
-        values, vectors = pcafeat.jacobi_eigh(A)
-        oracle_values, oracle_vectors = _power_iteration_eigh(A)
-        scale = np.linalg.norm(A)
-        np.testing.assert_allclose(values, oracle_values, atol=1e-8 * scale)
+        X = rng.standard_normal((12, 8))
+        model = pcafeat.fit_pca(X, k=8)
+        oracle_values, oracle_vectors = _power_iteration_eigh(np.cov(X, rowvar=False))
+        scale = np.linalg.norm(np.cov(X, rowvar=False))
+        np.testing.assert_allclose(model.eigenvalues, oracle_values, atol=1e-8 * scale)
         for j in range(8):
-            aligned = oracle_vectors[:, j] * np.sign(
-                oracle_vectors[:, j] @ vectors[:, j])
-            np.testing.assert_allclose(vectors[:, j], aligned, atol=1e-8)
+            aligned = oracle_vectors[:, j] * np.sign(oracle_vectors[:, j] @ model.omega[j])
+            np.testing.assert_allclose(model.omega[j], aligned, atol=1e-8)
 
 
-def test_jacobi_sign_convention_and_determinism():
+def test_fit_pca_sign_convention_and_determinism():
     rng = np.random.default_rng(7)
-    raw = rng.standard_normal((6, 6))
-    A = raw @ raw.T
-    values_a, vectors_a = pcafeat.jacobi_eigh(A)
-    values_b, vectors_b = pcafeat.jacobi_eigh(A)
-    np.testing.assert_array_equal(values_a, values_b)
-    np.testing.assert_array_equal(vectors_a, vectors_b)
-    assert np.all(np.diff(values_a) <= 0)
-    for j in range(6):
-        lead = np.argmax(np.abs(vectors_a[:, j]))
-        assert vectors_a[lead, j] > 0
+    X = rng.standard_normal((30, 6)) @ rng.standard_normal((6, 6))
+    model_a = pcafeat.fit_pca(X, k=6)
+    model_b = pcafeat.fit_pca(X.copy(), k=6)
+    np.testing.assert_array_equal(model_a.eigenvalues, model_b.eigenvalues)
+    np.testing.assert_array_equal(model_a.omega, model_b.omega)
+    assert np.all(np.diff(model_a.eigenvalues) <= 0)
+    for row in model_a.omega:
+        assert row[np.argmax(np.abs(row))] > 0
+    # the k-dimensional fit is the leading block of the full one
+    model_k = pcafeat.fit_pca(X, k=2)
+    np.testing.assert_array_equal(model_k.omega, model_a.omega[:2])
 
 
-def test_jacobi_edge_cases():
-    values, vectors = pcafeat.jacobi_eigh(np.zeros((4, 4)))
-    np.testing.assert_array_equal(values, np.zeros(4))
-    np.testing.assert_array_equal(vectors, np.eye(4))
-    values, vectors = pcafeat.jacobi_eigh(np.diag([5.0, -1.0, 3.0]))
-    np.testing.assert_array_equal(values, [5.0, 3.0, -1.0])
-    with pytest.raises(ValueError):
-        pcafeat.jacobi_eigh(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        pcafeat.jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+def test_fit_pca_edge_cases():
+    # constant rows: zero spectrum, still an orthonormal basis, zero errors
+    constant = np.tile([1.0, -2.0, 3.0, 0.5], (6, 1))
+    model = pcafeat.fit_pca(constant, k=4)
+    np.testing.assert_array_equal(model.eigenvalues, np.zeros(4))
+    np.testing.assert_allclose(model.omega @ model.omega.T, np.eye(4), atol=1e-15)
+    assert np.all(pcafeat.reconstruction_errors(model, constant).epsilon == 0.0)
+    # independent columns: the basis is the coordinate axes by variance
+    model = pcafeat.fit_pca(_rows_with_covariance(np.diag([5.0, 1.0, 3.0])), k=3)
+    np.testing.assert_allclose(model.eigenvalues, [5.0, 3.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(model.omega, np.eye(3)[[0, 2, 1]], atol=1e-12)
+    # non-finite rows have no covariance
+    for bad in (np.nan, np.inf):
+        X = np.ones((5, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pcafeat.fit_pca(X, k=2)
 
 
-def test_jacobi_scale_invariant_tolerance():
-    # relative stopping rule: huge and tiny scalings converge identically
+def test_fit_pca_scale_invariant():
     rng = np.random.default_rng(3)
-    raw = rng.standard_normal((5, 5))
-    A = (raw + raw.T) / 2.0
-    base, _ = pcafeat.jacobi_eigh(A)
-    big, _ = pcafeat.jacobi_eigh(A * 1e12)
-    small, _ = pcafeat.jacobi_eigh(A * 1e-12)
-    np.testing.assert_allclose(big, base * 1e12, rtol=1e-9)
-    np.testing.assert_allclose(small, base * 1e-12, rtol=1e-9)
+    X = rng.standard_normal((20, 5)) @ rng.standard_normal((5, 5))
+    base = pcafeat.fit_pca(X, k=5)
+    for factor in (1e6, 1e-6):
+        scaled = pcafeat.fit_pca(X * factor, k=5)
+        np.testing.assert_allclose(scaled.eigenvalues, base.eigenvalues * factor**2, rtol=1e-9)
+        np.testing.assert_allclose(scaled.omega, base.omega, atol=1e-9)
 
 
 def _factor_panel(n_rows=300, p=12, rank=2, noise=1e-3, seed=0):

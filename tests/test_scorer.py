@@ -41,6 +41,46 @@ def test_forward_matches_manual_relu_chain():
     assert out[0] == pytest.approx(expected, rel=1e-14)
 
 
+def _row_major_chain(net, batch):
+    """The plain ReLU chain a @ W^T + b, one layer at a time."""
+    a = batch
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(a @ W.T + b, 0.0)
+    return (a @ net.weights[-1].T + net.biases[-1])[:, 0]
+
+
+def _unit_major_chain(net, batch):
+    """The order forward documents: W @ a^T on a column-major copy, then a
+    row-major output layer on a C-contiguous copy of the last activation."""
+    a = np.asfortranarray(batch).T
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(W @ a + b[:, None], 0.0)
+    return (np.ascontiguousarray(a.T) @ net.weights[-1].T + net.biases[-1])[:, 0]
+
+
+def test_forward_single_row_is_bit_identical_to_row_major_chain():
+    for dims, seed in (([3, 4, 1], 0), ([206, 64, 32, 1], 1), ([9, 5, 3, 1], 2)):
+        net = _toy_net(dims, seed=seed)
+        rows = np.random.default_rng(seed + 10).standard_normal((20, dims[0]))
+        for x in rows:
+            assert scorer.forward(net, x) == _row_major_chain(net, x[None, :])[0]
+
+
+def test_forward_batch_is_bit_identical_across_memory_layouts():
+    # BLAS sums in a shape-dependent order, so a batch matches the row-major
+    # chain only to round-off; it matches the documented unit-major order,
+    # whatever the layout of the rows it is given, bit for bit
+    net = _toy_net([206, 64, 32, 1], seed=3)
+    rows = np.random.default_rng(4).standard_normal((2000, 206))
+    for n in (2, 7, 16, 17, 255, 1000):
+        strided = rows[: 2 * n : 2]  # every other row: a non-contiguous view
+        expected = _unit_major_chain(net, np.ascontiguousarray(strided))
+        for batch in (np.ascontiguousarray(strided), np.asfortranarray(strided), strided):
+            assert np.array_equal(scorer.forward(net, batch), expected)
+        np.testing.assert_allclose(expected, _row_major_chain(net, strided),
+                                   rtol=1e-13, atol=1e-13)
+
+
 def test_forward_validates_width():
     net = _toy_net([3, 2, 1], seed=1)
     with pytest.raises(ValueError):
@@ -168,6 +208,14 @@ def test_training_history_and_best_snapshot():
     assert losses[result.best_iteration] == result.best_loss
     # returned parameters reproduce the recorded best loss exactly
     assert scorer.loss(result.network, X, A) == pytest.approx(result.best_loss, rel=1e-12)
+
+
+def test_training_best_loss_is_the_loss_of_the_returned_network():
+    X, A = _toy_batch(6, 61, seed=12)
+    cfg = scorer.TrainConfig(hidden_dims=(8, 4), max_iters=40, seed=5)
+    result = scorer.train(X, A, cfg)
+    assert result.best_loss == scorer.loss(result.network, X, A)
+    assert result.best_loss == scorer.loss(result.network, np.asfortranarray(X), A)
 
 
 def test_training_is_deterministic_per_seed():
