@@ -215,9 +215,8 @@ def cmd_fit(args):
 def cmd_detect(args):
     windows, _, _ = _read_window_set(args, need_labels=False)
     model = _load_model(args)
-    reports = [detector.detect_iterative(model, row, method=args.method,
-                                         max_iter=args.max_iter)
-               for row in windows]
+    reports = detector.detect_batch(model, windows, method=args.method,
+                                    max_iter=args.max_iter)
     report_path = _out_path(args, "detect_report.csv")
     _write(io.write_detect_report, report_path, reports)
     _say(args, f"wrote {report_path} "

@@ -34,7 +34,12 @@ class CutoffResult:
 
 
 def silverman_bandwidth(samples):
-    """0.9 min(std, IQR/1.34) n^(-1/5), floored so degenerate samples stay usable."""
+    """0.9 min(std, IQR/1.34) n^(-1/5), floored so degenerate samples stay usable.
+
+    A zero IQR with a positive std (most samples tied) falls back to the std,
+    as statsmodels' _select_sigma does; the floor is left for samples with
+    no spread at all.
+    """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n == 0:
@@ -44,7 +49,7 @@ def silverman_bandwidth(samples):
     spread_std = np.std(samples, ddof=1)
     q75, q25 = np.percentile(samples, [75.0, 25.0])
     spread_iqr = (q75 - q25) / 1.34
-    spread = min(spread_std, spread_iqr)
+    spread = min(spread_std, spread_iqr) if spread_iqr > 0.0 else spread_std
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
 
 

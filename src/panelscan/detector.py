@@ -5,6 +5,12 @@ Localization is the argmax of the absolute reconstruction error, which works
 because a shock perturbs one observation while the PCA reconstruction stays
 anchored to the window's ordinary shape. Iterating identify -> localize ->
 impute removes several anomalies from one window.
+
+detect_batch runs that loop on a whole batch of windows at once: every
+iteration makes one PCA projection and one network pass over the rows that
+are still flagged, and each row's reconstruction error serves both its score
+and its location. Imputation and the per-row bookkeeping stay row by row.
+detect_iterative is detect_batch on a single row.
 """
 
 from __future__ import annotations
@@ -93,36 +99,59 @@ def impute(X_row, location, method, pca: pcafeat.PcaModel = None):
     return row
 
 
-def detect_iterative(model: DetectionModel, X_row, method="BF", max_iter=5) -> DetectionReport:
-    """identify -> localize -> impute until the window stops identifying.
+def detect_batch(model: DetectionModel, X, method="BF", max_iter=5) -> list[DetectionReport]:
+    """identify -> localize -> impute on every row until it stops identifying.
 
-    The reported label and score are the first identification's; locations
-    accumulate in discovery order. Re-flagging an already imputed index would
-    loop, so it forces termination with the repeated_location flag set.
+    Each iteration makes one reconstruction-error pass and one network pass
+    over the rows still flagged; a row's epsilon serves both its score and
+    its argmax location. The reported label and score are the first
+    identification's; locations accumulate in discovery order. Re-flagging an
+    already imputed index would loop, so it ends that row with the
+    repeated_location flag set.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    row = np.asarray(X_row, dtype=float).ravel().copy()
-    first_score = float(scores(model, row)[0])
-    flagged = bool(first_score > model.net.cutoff)
-    locations = []
-    repeated = False
-    iterations = 0
-    contaminated = flagged
-    while contaminated and iterations < max_iter:
-        iterations += 1
-        location = localize(model.pca, row)
-        if location in locations:
-            repeated = True
+    rows = np.array(np.atleast_2d(X), dtype=float)
+    cutoff = model.net.cutoff
+    epsilon = pcafeat.reconstruction_errors(model.pca, rows).epsilon
+    first_scores = scorer.forward(model.net, epsilon).tolist()
+    locations = [[] for _ in first_scores]
+    repeated = [False] * len(first_scores)
+    iterations = [0] * len(first_scores)
+    scored = range(len(first_scores))  # rows whose epsilon and scores are current
+    row_scores = first_scores
+    while True:
+        rescore = []
+        for i, eps_row, score in zip(scored, epsilon, row_scores):
+            if not score > cutoff:
+                continue
+            iterations[i] += 1
+            location = int(np.abs(eps_row).argmax()) + 1
+            if location in locations[i]:
+                repeated[i] = True
+                continue
+            locations[i].append(location)
+            rows[i] = impute(rows[i], location, method, pca=model.pca)
+            if iterations[i] < max_iter:
+                rescore.append(i)
+        if not rescore:
             break
-        locations.append(location)
-        row = impute(row, location, method, pca=model.pca)
-        contaminated = bool(scores(model, row)[0] > model.net.cutoff)
-    return DetectionReport(
-        pred_label=int(flagged),
-        score=first_score,
-        locations=locations,
-        imputed_series=row,
-        iterations_used=iterations,
-        repeated_location=repeated,
-    )
+        scored = rescore
+        epsilon = pcafeat.reconstruction_errors(model.pca, rows[scored]).epsilon
+        row_scores = scorer.forward(model.net, epsilon).tolist()
+    return [
+        DetectionReport(
+            pred_label=int(score > cutoff),
+            score=score,
+            locations=locations[i],
+            imputed_series=rows[i].copy(),  # a view would pin the whole batch
+            iterations_used=iterations[i],
+            repeated_location=repeated[i],
+        )
+        for i, score in enumerate(first_scores)
+    ]
+
+
+def detect_iterative(model: DetectionModel, X_row, method="BF", max_iter=5) -> DetectionReport:
+    """detect_batch on one window row."""
+    return detect_batch(model, np.ravel(X_row)[None, :], method=method, max_iter=max_iter)[0]

@@ -1,13 +1,15 @@
 """Evaluation harness: metrics, PRC, robustness sweeps, ADF stationarity.
 
-Everything here is pure bookkeeping over predictions except adf_test, which
-fits the augmented Dickey-Fuller regression
+Everything here is pure bookkeeping over predictions except the ADF test,
+which fits the augmented Dickey-Fuller regression
 
     d eps_t = a + gamma eps_{t-1} + theta_1 d eps_{t-1} + ... + z_t
 
 (intercept, no trend) by OLS and reads the t-statistic of gamma against the
 MacKinnon response surfaces: the 1994 surface for an approximate p-value and
-the 2010 critical-value surface for the 5% decision.
+the 2010 critical-value surface for the 5% decision. Every row of a batch has
+the same length and lag order, so one private kernel stacks the rows' normal
+equations and solves them together; adf_test is that kernel on one row.
 """
 
 from __future__ import annotations
@@ -170,12 +172,12 @@ _CRIT_5PCT = (-2.86154, -2.8903, -4.234, -40.04)  # polynomial in 1/nobs
 
 
 def _mackinnon_p_value(stat):
-    if stat > _TAU_MAX:
-        return 1.0
-    if stat < _TAU_MIN:
-        return 0.0
-    coeffs = _TAU_SMALL_P if stat <= _TAU_STAR else _TAU_LARGE_P
-    return float(ndtr(np.polyval(coeffs[::-1], stat)))
+    """Elementwise approximate p-value; exactly 0 below tau_min, 1 above tau_max."""
+    stat = np.asarray(stat, dtype=float)
+    p_value = np.where(stat <= _TAU_STAR,
+                       ndtr(np.polyval(_TAU_SMALL_P[::-1], stat)),
+                       ndtr(np.polyval(_TAU_LARGE_P[::-1], stat)))
+    return np.where(stat > _TAU_MAX, 1.0, np.where(stat < _TAU_MIN, 0.0, p_value))
 
 
 def _mackinnon_crit_5pct(nobs):
@@ -187,10 +189,30 @@ def schwert_lag(n):
     return int(np.floor(12.0 * (n / 100.0) ** 0.25))
 
 
-def adf_test(series, lag_order=None) -> AdfResult:
-    """Augmented Dickey-Fuller test with intercept, no trend."""
-    x = np.asarray(series, dtype=float).ravel()
-    n = x.size
+# Rows per stacked ADF solve: 512 rows of 206 points at lag 14 hold a
+# 512 x 16 x 191 design, about 12 MB, whatever the number of rows.
+_ADF_CHUNK_ROWS = 512
+
+
+@dataclass
+class _AdfRows:
+    statistics: np.ndarray
+    p_values: np.ndarray
+    lag_order: int
+    critical_5pct: float
+
+
+def _adf_batch(series, lag_order=None) -> _AdfRows:
+    """ADF t-statistic of gamma and its p-value for every row of an (n, T) array.
+
+    The design is stored rows x regressors x observations. Stacked matmuls
+    form each row's Gram matrix and X^T y, one stacked Cholesky checks them
+    all, and one stacked solve gives beta and the first column of the
+    inverse Gram matrix. Rows go through in fixed chunks, so memory does not
+    grow with n, and a row's result does not depend on the rows around it.
+    """
+    x = np.atleast_2d(np.asarray(series, dtype=float))
+    n_rows, n = x.shape
     if lag_order is None:
         lag_order = schwert_lag(n)
     lag_order = int(lag_order)
@@ -200,30 +222,43 @@ def adf_test(series, lag_order=None) -> AdfResult:
     nobs = n - lag_order - 1
     if nobs <= n_regressors:
         raise ValueError(f"series too short: {n} points, lag order {lag_order}")
-    dx = np.diff(x)
-    y = dx[lag_order:]
-    columns = [x[lag_order:-1]]
-    columns += [dx[lag_order - j:-j] for j in range(1, lag_order + 1)]
-    columns.append(np.ones(nobs))
-    design = np.column_stack(columns)
-    gram = design.T @ design
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular ADF regression") from exc
-    beta = np.linalg.solve(gram, design.T @ y)
-    residuals = y - design @ beta
-    dof = nobs - n_regressors
-    sigma2 = float(residuals @ residuals) / dof
-    inv_first = float(np.linalg.solve(gram, np.eye(n_regressors)[:, 0])[0])
-    stderr = np.sqrt(sigma2 * inv_first)
-    if stderr == 0.0:
-        raise ValueError("singular ADF regression")
-    stat = float(beta[0] / stderr)
-    crit = _mackinnon_crit_5pct(nobs)
-    return AdfResult(statistic=stat, lag_order=lag_order,
-                     p_value=_mackinnon_p_value(stat),
-                     critical_5pct=crit, reject_5pct=bool(stat < crit))
+    statistics = np.empty(n_rows)
+    for lo in range(0, n_rows, _ADF_CHUNK_ROWS):
+        chunk = x[lo:lo + _ADF_CHUNK_ROWS]
+        dx = np.diff(chunk, axis=1)
+        y = dx[:, lag_order:, None]
+        design = np.empty((chunk.shape[0], n_regressors, nobs))
+        design[:, 0] = chunk[:, lag_order:-1]
+        for j in range(1, lag_order + 1):
+            design[:, j] = dx[:, lag_order - j:n - 1 - j]
+        design[:, -1] = 1.0
+        gram = design @ design.transpose(0, 2, 1)
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("singular ADF regression") from exc
+        rhs = np.zeros((chunk.shape[0], n_regressors, 2))  # [X^T y | e_1]
+        rhs[:, :, :1] = design @ y
+        rhs[:, 0, 1] = 1.0
+        solution = np.linalg.solve(gram, rhs)
+        beta = solution[:, :, :1]
+        residuals = y - design.transpose(0, 2, 1) @ beta
+        sigma2 = (residuals.transpose(0, 2, 1) @ residuals)[:, 0, 0] / (nobs - n_regressors)
+        stderr = np.sqrt(sigma2 * solution[:, 0, 1])
+        if np.any(stderr == 0.0):
+            raise ValueError("singular ADF regression")
+        statistics[lo:lo + chunk.shape[0]] = beta[:, 0, 0] / stderr
+    return _AdfRows(statistics=statistics, p_values=_mackinnon_p_value(statistics),
+                    lag_order=lag_order, critical_5pct=_mackinnon_crit_5pct(nobs))
+
+
+def adf_test(series, lag_order=None) -> AdfResult:
+    """Augmented Dickey-Fuller test with intercept, no trend."""
+    rows = _adf_batch(np.ravel(series)[None, :], lag_order)
+    stat = float(rows.statistics[0])
+    return AdfResult(statistic=stat, lag_order=rows.lag_order,
+                     p_value=float(rows.p_values[0]), critical_5pct=rows.critical_5pct,
+                     reject_5pct=bool(stat < rows.critical_5pct))
 
 
 def flatten_metrics(result, prefix=""):

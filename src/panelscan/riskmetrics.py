@@ -3,8 +3,7 @@
 Log-returns are modelled jointly normal, R ~ N(mu_R, Sigma_R); a portfolio
 P = Q^T R then has VaR_alpha(P) = mu_P + q_alpha sigma_P. The quantity is a
 return quantile, not a loss figure: no sign flip. The inverse normal CDF is
-Acklam's rational approximation polished by one Newton step on the CDF, good
-to well below 1e-9.
+scipy's ndtri.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import simgen
 
@@ -83,46 +83,12 @@ def theoretical_return_model(mu, sigma, correlation, dt, h_steps=1) -> ReturnMod
     return ReturnModel(mu=mean, sigma=cov, horizon=h)
 
 
-# Acklam's inverse normal CDF coefficients.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _norm_cdf(x):
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _norm_pdf(x):
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def norm_quantile(p):
-    """Inverse standard normal CDF, rational approximation + one Newton step."""
+    """Inverse standard normal CDF."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    # one Newton step on the CDF
-    return x - (_norm_cdf(x) - p) / _norm_pdf(x)
+    return float(ndtri(p))
 
 
 def portfolio_var(model: ReturnModel, portfolio: Portfolio, alpha, source="clean") -> VarEstimate:

@@ -192,8 +192,8 @@ def contaminate(panel: PricePanel, cfg: ContaminationConfig):
         raise ValueError("n_anom must be >= 0")
     if cfg.n_anom > n_steps:
         raise ValueError(f"n_anom {cfg.n_anom} exceeds series length {n_steps}")
-    if cfg.rho < 0:
-        raise ValueError("rho must be >= 0")
+    if not 0.0 <= cfg.rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
     rng = np.random.default_rng(cfg.seed)
     labels = np.zeros((n_stocks, n_steps), dtype=np.int64)
     mask = np.ones((n_stocks, n_steps))

@@ -237,12 +237,13 @@ def amplitude_records(model: detector.DetectionModel, bundle: DatasetBundle):
 
 
 def adf_study(epsilon, lag_order=None):
-    """ADF per reconstruction-error row; returns (p_values, rejection rate)."""
-    eps = np.atleast_2d(np.asarray(epsilon, dtype=float))
-    results = [evaluation.adf_test(row, lag_order=lag_order) for row in eps]
-    p_values = np.array([r.p_value for r in results])
-    reject = float(np.mean([r.reject_5pct for r in results]))
-    return p_values, reject
+    """ADF on every reconstruction-error row; returns (p_values, rejection rate).
+
+    All rows go through evaluation's stacked ADF kernel, so each p-value is
+    bit for bit the one adf_test gives on that row alone.
+    """
+    study = evaluation._adf_batch(epsilon, lag_order)
+    return study.p_values, float(np.mean(study.statistics < study.critical_5pct))
 
 
 def _cover_offsets(n_steps, p, stride):
@@ -258,11 +259,12 @@ def detect_panel(model: detector.DetectionModel, prices, method="BF", max_iter=5
     """Flag absolute anomaly stamps by consensus over overlapping windows.
 
     Windows advance by stride (default p // 2, giving interior stamps two
-    looks) and each run of the iterative detector votes for the stamps it
-    localizes. A stamp is flagged once min_votes covering windows agree,
-    capped by how many windows actually cover it; a single window's noise
-    argmax rarely repeats across different window boundaries, so consensus
-    suppresses the false stamps any one window would contribute.
+    looks); every window of every series goes through one detect_batch call,
+    and each window votes for the stamps it localizes. A stamp is flagged
+    once min_votes covering windows agree, capped by how many windows
+    actually cover it; a single window's noise argmax rarely repeats across
+    different window boundaries, so consensus suppresses the false stamps any
+    one window would contribute.
     """
     prices = np.atleast_2d(np.asarray(prices, dtype=float))
     n_stocks, n_steps = prices.shape
@@ -279,13 +281,14 @@ def detect_panel(model: detector.DetectionModel, prices, method="BF", max_iter=5
     for off in offsets:
         coverage[off:off + p] += 1
     required = np.minimum(min_votes, coverage)
+    windows = np.lib.stride_tricks.sliding_window_view(prices, p, axis=1)[:, offsets]
+    reports = detector.detect_batch(model, windows.reshape(-1, p),
+                                    method=method, max_iter=max_iter)
     votes = np.zeros((n_stocks, n_steps), dtype=np.int64)
-    for i in range(n_stocks):
-        for off in offsets:
-            report = detector.detect_iterative(model, prices[i, off:off + p],
-                                               method=method, max_iter=max_iter)
-            for loc in report.locations:
-                votes[i, off + loc - 1] += 1
+    for k, report in enumerate(reports):
+        i, j = divmod(k, len(offsets))
+        for loc in report.locations:
+            votes[i, offsets[j] + loc - 1] += 1
     return (votes >= required[None, :]).astype(np.int64)
 
 

@@ -80,6 +80,15 @@ def test_simulate_missing_out_dir_exits_2(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_simulate_rho_at_or_above_one_exits_3(tmp_path, capsys):
+    code = _run("simulate", "--out-dir", tmp_path, "--quiet", *SIM_FLAGS, "--rho", "1.5")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "rho must lie in [0, 1)" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 # -- augment -------------------------------------------------------------
 
 

@@ -63,6 +63,16 @@ def test_silverman_bandwidth_floor():
         density.silverman_bandwidth([])
 
 
+def test_silverman_bandwidth_zero_iqr_falls_back_to_std():
+    # eight of ten samples tied: the IQR is 0, the std is not
+    samples = np.array([0.0] * 8 + [1.0, 3.0])
+    q75, q25 = np.percentile(samples, [75.0, 25.0])
+    assert q75 == q25
+    expected = 0.9 * np.std(samples, ddof=1) * samples.size ** (-0.2)
+    assert density.silverman_bandwidth(samples) == pytest.approx(expected, rel=1e-15)
+    assert density.silverman_bandwidth(samples) > 1e3 * density.BANDWIDTH_FLOOR
+
+
 def test_fit_kde_validation():
     with pytest.raises(ValueError):
         density.fit_kde([])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from panelscan import detector, pcafeat, scorer
+from panelscan import detector, pcafeat, scorer, workflows
 
 
 def _planted_model(p=10, seed=0):
@@ -50,6 +50,8 @@ def test_identify_is_strictly_above_cutoff():
     exact = scorer.forward(model.net, eps)
     model.net.cutoff = float(exact)
     assert detector.identify(model, clean)[0] == 0
+    report = detector.detect_iterative(model, clean)
+    assert (report.pred_label, report.iterations_used, report.locations) == (0, 0, [])
 
 
 def test_localize_finds_the_spike():
@@ -163,3 +165,111 @@ def test_scores_match_forward_on_features():
     eps = pcafeat.reconstruction_errors(model.pca, X[:4]).epsilon
     np.testing.assert_allclose(detector.scores(model, X[:4]),
                                scorer.forward(model.net, eps), rtol=1e-14)
+
+
+def _reference_detect(model, row, method, max_iter):
+    """The per-row loop that detect_batch replaced: epsilon is recomputed to localize."""
+    row = np.asarray(row, dtype=float).copy()
+    first = float(detector.scores(model, row)[0])
+    locations, repeated, iterations = [], False, 0
+    contaminated = first > model.net.cutoff
+    while contaminated and iterations < max_iter:
+        iterations += 1
+        location = detector.localize(model.pca, row)
+        if location in locations:
+            repeated = True
+            break
+        locations.append(location)
+        row = detector.impute(row, location, method, pca=model.pca)
+        contaminated = float(detector.scores(model, row)[0]) > model.net.cutoff
+    return detector.DetectionReport(int(first > model.net.cutoff), first, locations, row,
+                                    iterations, repeated)
+
+
+def _spiked_rows(X, seed, n_rows=60):
+    """Clean rows and rows with one to six spikes of mixed sign and size."""
+    rng = np.random.default_rng(seed)
+    rows = X[rng.choice(X.shape[0], n_rows, replace=False)].copy()
+    p = rows.shape[1]
+    for row in rows[n_rows // 4:]:
+        spots = rng.choice(p, rng.integers(1, 7), replace=False)
+        row[spots] += rng.choice([-1.0, 1.0], spots.size) * rng.uniform(0.02, 4.0, spots.size)
+    return rows
+
+
+def _assert_same_reports(batch, per_row, score_rtol, score_atol=0.0):
+    assert len(batch) == len(per_row)
+    for got, want in zip(batch, per_row):
+        assert got.pred_label == want.pred_label
+        assert got.locations == want.locations
+        assert got.iterations_used == want.iterations_used
+        assert got.repeated_location == want.repeated_location
+        assert np.array_equal(got.imputed_series, want.imputed_series)
+        np.testing.assert_allclose(got.score, want.score, rtol=score_rtol, atol=score_atol)
+
+
+@pytest.mark.parametrize("method", detector.IMPUTATION_METHODS)
+def test_detect_batch_matches_per_row_detection(method):
+    model, X = _planted_model(seed=8)
+    rows = _spiked_rows(X, seed=9)
+    # A batch sums in another order than one row (gemm against gemv). A clean
+    # row's epsilon cancels values near max|x| down to about 1e-4, so its
+    # score carries that rounding: a few ulp of max|x| per component.
+    score_atol = rows.shape[1] * np.finfo(float).eps * np.abs(rows).max()
+    for max_iter in range(1, 6):
+        batch = detector.detect_batch(model, rows, method=method, max_iter=max_iter)
+        per_row = [detector.detect_iterative(model, row, method=method, max_iter=max_iter)
+                   for row in rows]
+        assert {r.iterations_used for r in per_row} >= {0, max_iter}
+        _assert_same_reports(batch, per_row, score_rtol=1e-12, score_atol=score_atol)
+        # one row at a time is bit for bit the loop detect_batch replaced
+        reference = [_reference_detect(model, row, method, max_iter) for row in rows]
+        _assert_same_reports(per_row, reference, score_rtol=0.0)
+
+
+def test_detect_batch_repeat_guard_matches_per_row():
+    p = 6
+    rng = np.random.default_rng(10)
+    X = np.ones((50, p)) + 0.01 * rng.standard_normal((50, p))
+    pca = pcafeat.fit_pca(X, k=1)
+    always_on = scorer.ScoringNetwork(
+        layer_dims=[p, 1], weights=[np.zeros((1, p))], biases=[np.ones(1)],
+        cutoff=0.0, temperature=1.0)
+    model = detector.DetectionModel(pca=pca, net=always_on)
+    for method in detector.IMPUTATION_METHODS:
+        batch = detector.detect_batch(model, X[:12], method=method, max_iter=50)
+        per_row = [_reference_detect(model, row, method, 50) for row in X[:12]]
+        assert any(r.repeated_location for r in batch)
+        _assert_same_reports(batch, per_row, score_rtol=0.0)
+    with pytest.raises(ValueError):
+        detector.detect_batch(model, X, max_iter=0)
+
+
+def test_detect_panel_matches_a_per_window_loop():
+    model, _ = _planted_model(seed=11)
+    p = model.pca.window_length
+    rng = np.random.default_rng(12)
+    n_stocks, n_steps = 4, 47
+    trend = np.linspace(0.0, 1.0, n_steps)
+    prices = (rng.uniform(90.0, 110.0, (n_stocks, 1)) + rng.uniform(-5.0, 5.0, (n_stocks, 1))
+              * trend + 1e-4 * rng.standard_normal((n_stocks, n_steps)))
+    for i in range(n_stocks):
+        spots = rng.choice(n_steps, 3, replace=False)
+        prices[i, spots] += rng.uniform(1.0, 3.0, 3)
+    for stride, min_votes in ((None, 2), (3, 1), (7, 3)):
+        step = p // 2 if stride is None else stride
+        offsets = list(range(0, n_steps - p + 1, step))
+        if offsets[-1] != n_steps - p:
+            offsets.append(n_steps - p)
+        votes = np.zeros((n_stocks, n_steps), dtype=np.int64)
+        coverage = np.zeros(n_steps, dtype=np.int64)
+        for off in offsets:
+            coverage[off:off + p] += 1
+            for i in range(n_stocks):
+                report = detector.detect_iterative(model, prices[i, off:off + p], max_iter=5)
+                for loc in report.locations:
+                    votes[i, off + loc - 1] += 1
+        expected = (votes >= np.minimum(min_votes, coverage)).astype(np.int64)
+        flags = workflows.detect_panel(model, prices, stride=stride, min_votes=min_votes)
+        assert expected.sum() > 0
+        np.testing.assert_array_equal(flags, expected)

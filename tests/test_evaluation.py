@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from panelscan import detector, evaluation, pcafeat, scorer
+from panelscan import detector, evaluation, pcafeat, scorer, workflows
 
 
 def test_classification_metrics_perfect_prediction():
@@ -142,6 +142,54 @@ def test_adf_singular_regression_errors():
         evaluation.adf_test(np.full(50, 2.0), lag_order=0)
     with pytest.raises(ValueError):
         evaluation.adf_test(np.arange(5.0), lag_order=3)
+
+
+def _lstsq_adf_statistic(series, lag):
+    dx = np.diff(series)
+    y = dx[lag:]
+    columns = [series[lag:-1]] + [dx[lag - j:dx.size - j] for j in range(1, lag + 1)]
+    design = np.column_stack(columns + [np.ones(y.size)])
+    beta = np.linalg.lstsq(design, y, rcond=None)[0]
+    residuals = y - design @ beta
+    sigma2 = residuals @ residuals / (y.size - design.shape[1])
+    return beta[0] / np.sqrt(sigma2 * np.linalg.pinv(design.T @ design)[0, 0])
+
+
+def test_adf_study_equals_per_row_tests_across_chunks():
+    rng = np.random.default_rng(34)
+    n_rows = 2 * evaluation._ADF_CHUNK_ROWS + 77
+    walks = np.cumsum(rng.standard_normal((n_rows // 2, 150)), axis=1)
+    noise = rng.standard_normal((n_rows - n_rows // 2, 150))
+    rows = np.vstack([walks, noise])[rng.permutation(n_rows)]
+    p_values, reject = workflows.adf_study(rows)
+    study = evaluation._adf_batch(rows)
+    singles = [evaluation.adf_test(row) for row in rows]
+    assert np.array_equal(p_values, [r.p_value for r in singles])
+    assert np.array_equal(study.statistics, [r.statistic for r in singles])
+    assert reject == np.mean([r.reject_5pct for r in singles])
+    assert 0.3 < reject < 0.7
+    lag = evaluation.schwert_lag(150)
+    for i in rng.choice(n_rows, 40, replace=False):
+        own = _lstsq_adf_statistic(rows[i], lag)
+        assert abs(study.statistics[i] - own) <= 1e-10 * abs(own)
+
+
+def test_adf_study_refuses_a_singular_row_anywhere():
+    rng = np.random.default_rng(35)
+    rows = rng.standard_normal((evaluation._ADF_CHUNK_ROWS + 40, 80))
+    for bad in (0, evaluation._ADF_CHUNK_ROWS + 13, rows.shape[0] - 1):
+        broken = rows.copy()
+        broken[bad] = 2.0
+        with pytest.raises(ValueError, match="singular"):
+            workflows.adf_study(broken, lag_order=0)
+
+
+def test_mackinnon_p_value_is_exact_outside_the_surface():
+    stats = np.array([-1e6, evaluation._TAU_MIN - 1e-9, evaluation._TAU_MAX + 1e-9, 50.0])
+    assert evaluation._mackinnon_p_value(stats).tolist() == [0.0, 0.0, 1.0, 1.0]
+    inside = evaluation._mackinnon_p_value(np.array([evaluation._TAU_MIN, -3.0,
+                                                     evaluation._TAU_STAR, 0.0]))
+    assert np.all((inside > 0.0) & (inside < 1.0)) and np.all(np.diff(inside) > 0.0)
 
 
 def test_flatten_metrics_nested():

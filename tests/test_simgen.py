@@ -121,6 +121,13 @@ def test_contaminate_degenerate_settings():
         simgen.contaminate(clean, simgen.ContaminationConfig(n_anom=21, seed=1))
 
 
+@pytest.mark.parametrize("rho", [-0.01, 1.0, 1.5, float("nan")])
+def test_contaminate_refuses_rho_outside_unit_interval(rho):
+    clean = simgen.simulate_gbm(simgen.DiffusionConfig(n_stocks=2, n_steps=20, seed=5))
+    with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\)"):
+        simgen.contaminate(clean, simgen.ContaminationConfig(n_anom=2, rho=rho, seed=1))
+
+
 def test_slide_counts_and_contents():
     prices = np.arange(3 * 30, dtype=float).reshape(3, 30) + 1.0
     labels = np.zeros_like(prices, dtype=np.int64)
