@@ -12,7 +12,7 @@ dependence on how hard the anomaly actually hits the series.
 
 import numpy as np
 
-from panelscan import evaluation, workflows
+from panelscan import detector, evaluation, workflows
 
 SEED = 0
 
@@ -20,12 +20,13 @@ SEED = 0
 def main():
     result = workflows.reference_run(workflows.PipelineConfig(seed=SEED))
     panel = result.data.test
+    scored = detector.score_rows(result.model, panel.windows)
     print(f"calibrated on seed {SEED}: cut-off s = {result.model.net.cutoff:.4f}, "
           f"test rows {panel.n_rows} ({int(panel.ident_labels.sum())} contaminated)")
 
     print("\ncut-off shock sweep on the test split")
     print("  gamma      accuracy  precision  recall    F1")
-    table = evaluation.cutoff_robustness(result.model, panel.windows,
+    table = evaluation.cutoff_robustness(scored.scores, result.model.net.cutoff,
                                          panel.ident_labels)
     base = dict(table)[0.0].accuracy
     for gamma, m in table:
@@ -38,7 +39,7 @@ def main():
 
     print("\ndetection ratio by injected amplitude quartile (test rows)")
     amplitudes, ident_correct, loc_correct = workflows.amplitude_records(
-        result.model, result.data)
+        result.data, scored)
     print("  bucket  amplitude range        rows  identified  localized")
     loc_buckets = evaluation.amplitude_sensitivity(amplitudes, loc_correct)
     for i, (b, lb) in enumerate(zip(

@@ -10,7 +10,7 @@ located stamps can be eyeballed against the truth.
 
 import numpy as np
 
-from panelscan import pcafeat, scorer, workflows
+from panelscan import detector, workflows
 
 SEED = 0
 
@@ -44,10 +44,7 @@ def main():
           f"{s['naive_auc_c']:.4f}")
 
     panel = result.data.test
-    eps = pcafeat.reconstruction_errors(result.model.pca, panel.windows).epsilon
-    net_scores = scorer.forward(result.model.net, eps)
-    cutoff = result.model.net.cutoff
-    pred_L = np.argmax(np.abs(eps), axis=1) + 1
+    scored = detector.score_rows(result.model, panel.windows)
 
     print("\nsample test rows (score > s flags the row)")
     print("  row   A  score      flagged  true stamp  located")
@@ -59,8 +56,8 @@ def main():
     for row in shown:
         a = panel.ident_labels[row]
         loc = f"{panel.loc_labels[row]:10d}" if a else "         -"
-        print(f"  {row:4d}  {a}  {net_scores[row]:9.4f}  "
-              f"{str(net_scores[row] > cutoff):7s} {loc}  {pred_L[row]:7d}")
+        print(f"  {row:4d}  {a}  {scored.scores[row]:9.4f}  "
+              f"{str(bool(scored.flags[row])):7s} {loc}  {scored.locations[row]:7d}")
 
 
 if __name__ == "__main__":

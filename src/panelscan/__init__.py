@@ -12,10 +12,10 @@ from .density import KdeModel, auc_above, auc_below, fit_kde, intersection_cutof
 from .detector import (
     DetectionModel,
     DetectionReport,
+    ScoredRows,
     detect_iterative,
-    identify,
     impute,
-    localize,
+    score_rows,
 )
 from .evaluation import (
     AdfResult,

@@ -173,15 +173,16 @@ def cmd_augment(args):
     if value_labels.shape != prices.shape:
         raise ValueError("value labels shape does not match the panel shape")
     split = args.split_index
+    if not 0 <= split < prices.shape[1]:
+        raise ValueError(f"split index must lie in [0, {prices.shape[1]}), got {split}")
     parts = (("train", prices, value_labels),) if split == 0 else (
         ("train", prices[:, :split], value_labels[:, :split]),
         ("test", prices[:, split:], value_labels[:, split:]),
     )
-    for name, part_prices, part_labels in parts:
-        X, sY, prov = simgen.slide(part_prices, part_labels, args.window_length)
-        panel = simgen.build_labeled_panel(
-            X, sY, prov, name, r_c=args.r_c,
-            seed=workflows.derive_seed(args.seed, f"select_{name}"))
+    panels = {name: workflows.labeled_windows(part_prices, part_labels, name,
+                                              args.window_length, args.r_c, args.seed)
+              for name, part_prices, part_labels in parts}
+    for name, panel in panels.items():
         windows_path = _out_path(args, f"windows_{name}.csv")
         labels_path = _out_path(args, f"labels_{name}.csv")
         _write(io.write_panel, windows_path, panel.windows)
@@ -192,19 +193,17 @@ def cmd_augment(args):
 
 def cmd_fit(args):
     windows, A, _ = _read_window_set(args, need_labels=True)
-    pca = pcafeat.fit_pca(windows, args.k)
-    epsilon = pcafeat.reconstruction_errors(pca, windows).epsilon
     train_cfg = scorer.TrainConfig(
         hidden_dims=args.hidden, learning_rate=args.lr, max_iters=args.iters,
         seed=workflows.derive_seed(args.seed, "train_net"),
     )
     if args.tau is not None:
         train_cfg = replace(train_cfg, temperature=args.tau)
-    result = scorer.train(epsilon, A, train_cfg)
+    model, result = workflows.fit_model(windows, A, args.k, train_cfg)
     pca_path = _out_path(args, "pca.txt")
     net_path = _out_path(args, "net.txt")
     log_path = _out_path(args, "training_log.csv")
-    _write(io.write_pca_model, pca_path, pca)
+    _write(io.write_pca_model, pca_path, model.pca)
     _write(io.write_network, net_path, result.network)
     _write(io.write_training_log, log_path, result.history)
     _say(args, f"wrote {pca_path}, {net_path}, {log_path} "
@@ -231,33 +230,29 @@ def cmd_detect(args):
 def cmd_evaluate(args):
     windows, A, L = _read_window_set(args, need_labels=True)
     model = _load_model(args)
-    epsilon = pcafeat.reconstruction_errors(model.pca, windows).epsilon
-    net_scores = scorer.forward(model.net, epsilon)
-    pred_A = (net_scores > model.net.cutoff).astype(np.int64)
-    pred_L = np.argmax(np.abs(epsilon), axis=1) + 1
-    hot = A == 1
+    scored = detector.score_rows(model, windows)
+    metrics = workflows.split_metrics(scored, windows, A, L)
     report = {
-        "identification": evaluation.classification_metrics(A, pred_A),
+        "identification": metrics["ident"],
         "cutoff": model.net.cutoff,
         "n_rows": int(A.size),
     }
-    if hot.any():
-        report["localization"] = evaluation.localization_metrics(L[hot], pred_L[hot])
-        dummy = workflows.dummy_localize(windows)
-        report["dummy_localization_accuracy"] = float(np.mean(dummy[hot] == L[hot]))
+    if "loc" in metrics:
+        report["localization"] = metrics["loc"]
+        report["dummy_localization_accuracy"] = metrics["dummy_loc_accuracy"]
     if args.prc:
-        curve = evaluation.precision_recall_curve(net_scores, A)
+        curve = evaluation.precision_recall_curve(scored.scores, A)
         _write(io.write_rows, _out_path(args, args.prc),
                ["threshold", "recall", "precision"],
                zip(curve.thresholds, curve.recall, curve.precision))
         report["prc_auc"] = curve.auc
     if args.robustness:
-        table = evaluation.cutoff_robustness(model, windows, A)
+        table = evaluation.cutoff_robustness(scored.scores, model.net.cutoff, A)
         _write(io.write_rows, _out_path(args, args.robustness),
                ["gamma", "accuracy", "precision", "recall", "f1"],
                [(g, m.accuracy, m.precision, m.recall, m.f1) for g, m in table])
     if args.adf:
-        p_values, reject_rate = workflows.adf_study(epsilon)
+        p_values, reject_rate = workflows.adf_study(scored.epsilon)
         _write(io.write_rows, _out_path(args, args.adf),
                ["statistic", "mean_p", "max_p", "reject_rate"],
                [("summary", float(p_values.mean()), float(p_values.max()), reject_rate)])
@@ -285,28 +280,16 @@ def cmd_var(args):
     model = _load_model(args)
     portfolio = riskmetrics.Portfolio(weights=weights)
     pred = workflows.detect_panel(model, contaminated, method=args.method)
-    variants = {
-        "clean": clean,
-        "anom": contaminated,
-        "loc_true": workflows.impute_panel(contaminated, value_labels, method=args.method),
-        "loc_pred": workflows.impute_panel(contaminated, pred, method=args.method),
-    }
-    theo_model = riskmetrics.theoretical_return_model(
-        mu, sigma, args.correlation, args.dt, args.h)
-    estimates = {"theo": riskmetrics.portfolio_var(theo_model, portfolio,
-                                                   args.alpha, source="theo")}
-    for tag, prices in variants.items():
-        fitted = riskmetrics.estimate_params(riskmetrics.log_returns(prices, args.h), args.h)
-        estimates[tag] = riskmetrics.portfolio_var(fitted, portfolio, args.alpha, source=tag)
+    estimates, errors = workflows.var_estimates(
+        clean, contaminated, value_labels, pred, mu, sigma, args.correlation, args.dt,
+        args.h, portfolio, args.alpha, method=args.method)
     payload = {
         "alpha": args.alpha,
         "horizon": args.h,
         "var": {tag: est.value for tag, est in estimates.items()},
-        "errors": {},
+        "errors": {tag: {"absolute": absolute, "relative": relative}
+                   for tag, (absolute, relative) in errors.items()},
     }
-    for tag in variants:
-        absolute, relative = riskmetrics.var_errors(estimates["theo"], estimates[tag])
-        payload["errors"][tag] = {"absolute": absolute, "relative": relative}
     report_path = _out_path(args, "var_report.json")
     _write(io.write_json, report_path, payload)
     _say(args, f"wrote {report_path} (VaR theo {estimates['theo'].value:.6g}, "
@@ -329,13 +312,13 @@ def cmd_bench(args):
                    f"{result.summary['ident_test'].f1:.4f} "
                    f"({time.perf_counter() - t0:.1f}s)")
     flat = [evaluation.flatten_metrics(r.summary) for r in runs]
-    keys = sorted(set().union(*(run.keys() for run in flat)))
-    values = {k: np.array([run[k] for run in flat if k in run], dtype=float) for k in keys}
+    mean, std = evaluation.aggregate(flat)
+    keys = list(mean)
     summary = {
         "runs": len(seeds),
         "seeds": seeds,
-        "mean": {k: float(v.mean()) for k, v in values.items()},
-        "std": {k: float(v.std(ddof=1)) for k, v in values.items()},
+        "mean": mean,
+        "std": std,
         "wall_seconds": time.perf_counter() - started,
     }
     summary_path = _out_path(args, "bench_summary.json")
@@ -351,7 +334,7 @@ def cmd_bench(args):
         edges = []
         for result in runs:
             amplitudes, ident_correct, _ = workflows.amplitude_records(
-                result.model, result.data)
+                result.data, detector.score_rows(result.model, result.data.test.windows))
             buckets = evaluation.amplitude_sensitivity(amplitudes, ident_correct)
             ratios += np.array([b.ratio if b.ratio is not None else 0.0 for b in buckets])
             edges.append([(b.low, b.high) for b in buckets])

@@ -6,11 +6,12 @@ because a shock perturbs one observation while the PCA reconstruction stays
 anchored to the window's ordinary shape. Iterating identify -> localize ->
 impute removes several anomalies from one window.
 
-detect_batch runs that loop on a whole batch of windows at once: every
-iteration makes one PCA projection and one network pass over the rows that
-are still flagged, and each row's reconstruction error serves both its score
-and its location. Imputation and the per-row bookkeeping stay row by row.
-detect_iterative is detect_batch on a single row.
+score_rows is that rule on a batch of rows: one PCA projection and one
+network pass give each row's reconstruction error, score, flag and location.
+detect_batch runs the loop on a whole batch of windows at once, with one
+score_rows pass per iteration over the rows that are still flagged.
+Imputation and the per-row bookkeeping stay row by row. detect_iterative is
+detect_batch on a single row.
 """
 
 from __future__ import annotations
@@ -44,26 +45,24 @@ class DetectionReport:
     repeated_location: bool = False
 
 
-def identify(model: DetectionModel, X):
-    """A_hat_i = 1 iff score(epsilon_i) > s, strict."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+@dataclass
+class ScoredRows:
+    """One scoring pass over window rows: the detector's whole decision rule."""
+
+    epsilon: np.ndarray    # n x p PCA reconstruction errors
+    scores: np.ndarray     # network score per row
+    flags: np.ndarray      # True where the score is strictly above the cut-off
+    locations: np.ndarray  # 1-based argmax |epsilon|; ties go to the smallest index
+
+
+def score_rows(model: DetectionModel, X) -> ScoredRows:
+    """Identify and localize every row: A_hat = 1 iff score(epsilon) > s, strict."""
     epsilon = pcafeat.reconstruction_errors(model.pca, X).epsilon
+    if epsilon.ndim == 1:  # one window row
+        epsilon = epsilon[None, :]
     scores = scorer.forward(model.net, epsilon)
-    return (np.atleast_1d(scores) > model.net.cutoff).astype(np.int64)
-
-
-def scores(model: DetectionModel, X):
-    """Network scores of raw windows (reconstruction errors computed inside)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    epsilon = pcafeat.reconstruction_errors(model.pca, X).epsilon
-    return scorer.forward(model.net, epsilon)
-
-
-def localize(pca: pcafeat.PcaModel, X_row):
-    """1-based index of the largest |epsilon|; ties go to the smallest index."""
-    row = np.asarray(X_row, dtype=float).ravel()
-    epsilon = pcafeat.reconstruction_errors(pca, row).epsilon
-    return int(np.argmax(np.abs(epsilon))) + 1
+    return ScoredRows(epsilon=epsilon, scores=scores, flags=scores > model.net.cutoff,
+                      locations=np.abs(epsilon).argmax(axis=1) + 1)
 
 
 def impute(X_row, location, method, pca: pcafeat.PcaModel = None):
@@ -102,31 +101,28 @@ def impute(X_row, location, method, pca: pcafeat.PcaModel = None):
 def detect_batch(model: DetectionModel, X, method="BF", max_iter=5) -> list[DetectionReport]:
     """identify -> localize -> impute on every row until it stops identifying.
 
-    Each iteration makes one reconstruction-error pass and one network pass
-    over the rows still flagged; a row's epsilon serves both its score and
-    its argmax location. The reported label and score are the first
-    identification's; locations accumulate in discovery order. Re-flagging an
-    already imputed index would loop, so it ends that row with the
-    repeated_location flag set.
+    Each iteration makes one score_rows pass over the rows still flagged, so
+    a row's epsilon serves both its score and its location. The reported
+    label and score are the first identification's; locations accumulate in
+    discovery order. Re-flagging an already imputed index would loop, so it
+    ends that row with the repeated_location flag set.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    rows = np.array(np.atleast_2d(X), dtype=float)
-    cutoff = model.net.cutoff
-    epsilon = pcafeat.reconstruction_errors(model.pca, rows).epsilon
-    first_scores = scorer.forward(model.net, epsilon).tolist()
-    locations = [[] for _ in first_scores]
-    repeated = [False] * len(first_scores)
-    iterations = [0] * len(first_scores)
-    scored = range(len(first_scores))  # rows whose epsilon and scores are current
-    row_scores = first_scores
+    rows = np.array(X, dtype=float, ndmin=2)
+    first = score_rows(model, rows)
+    n_rows = len(first.scores)
+    locations = [[] for _ in range(n_rows)]
+    repeated = [False] * n_rows
+    iterations = [0] * n_rows
+    scored, current = range(n_rows), first  # rows whose record is current
     while True:
         rescore = []
-        for i, eps_row, score in zip(scored, epsilon, row_scores):
-            if not score > cutoff:
+        for i, flagged, location in zip(scored, current.flags.tolist(),
+                                        current.locations.tolist()):
+            if not flagged:
                 continue
             iterations[i] += 1
-            location = int(np.abs(eps_row).argmax()) + 1
             if location in locations[i]:
                 repeated[i] = True
                 continue
@@ -137,18 +133,17 @@ def detect_batch(model: DetectionModel, X, method="BF", max_iter=5) -> list[Dete
         if not rescore:
             break
         scored = rescore
-        epsilon = pcafeat.reconstruction_errors(model.pca, rows[scored]).epsilon
-        row_scores = scorer.forward(model.net, epsilon).tolist()
+        current = score_rows(model, rows[scored])
     return [
         DetectionReport(
-            pred_label=int(score > cutoff),
+            pred_label=int(flagged),
             score=score,
             locations=locations[i],
             imputed_series=rows[i].copy(),  # a view would pin the whole batch
             iterations_used=iterations[i],
             repeated_location=repeated[i],
         )
-        for i, score in enumerate(first_scores)
+        for i, (flagged, score) in enumerate(zip(first.flags.tolist(), first.scores.tolist()))
     ]
 
 

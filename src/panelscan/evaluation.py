@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from . import pcafeat, scorer
-
 ROBUSTNESS_SHOCKS = (-2.0, -1.0, -0.1, -0.01, -0.001, -0.0001,
                      0.0, 0.0001, 0.001, 0.01, 0.1, 1.0, 2.0)
 
@@ -282,20 +280,14 @@ class MultirunResult:
     runs: list  # flat per-run metric dicts
 
 
-def multirun(experiment, n_runs=None, seeds=None) -> MultirunResult:
-    """Re-run a seeded experiment and aggregate every reported metric.
+def multirun(experiment, seeds) -> MultirunResult:
+    """Re-run a seeded experiment once per seed and aggregate every reported metric.
 
     experiment(seed) may return a MetricsReport, a float, or an arbitrarily
     nested dict of those; metrics are flattened to dotted names. Any failing
     run aborts with its index.
     """
-    if seeds is None:
-        if n_runs is None:
-            raise ValueError("give n_runs or seeds")
-        seeds = list(range(int(n_runs)))
     seeds = list(seeds)
-    if n_runs is not None:
-        seeds = seeds[: int(n_runs)]
     if len(seeds) < 2:
         raise ValueError("multirun needs at least two runs")
     runs = []
@@ -304,30 +296,34 @@ def multirun(experiment, n_runs=None, seeds=None) -> MultirunResult:
             runs.append(flatten_metrics(experiment(seed)))
         except Exception as exc:
             raise RuntimeError(f"run {index} (seed {seed}) failed: {exc}") from exc
-    keys = sorted(set().union(*(run.keys() for run in runs)))
-    mean = {}
-    std = {}
-    for key in keys:
-        values = np.array([run[key] for run in runs if key in run], dtype=float)
-        mean[key] = float(values.mean())
-        std[key] = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    mean, std = aggregate(runs)
     return MultirunResult(mean=mean, std=std, runs=runs)
 
 
-def cutoff_robustness(model, X, A, shocks=ROBUSTNESS_SHOCKS):
-    """Identification metrics after shifting the learned cut-off by gamma."""
+def aggregate(runs):
+    """Mean and sample std (ddof 1) of each flat metric over the runs that report it.
+
+    Returns (mean, std) dicts keyed in sorted order; a metric that only one
+    run reports has std 0.
+    """
+    mean = {}
+    std = {}
+    for key in sorted(set().union(*(run.keys() for run in runs))):
+        values = np.array([run[key] for run in runs if key in run], dtype=float)
+        mean[key] = float(values.mean())
+        std[key] = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return mean, std
+
+
+def cutoff_robustness(scores, cutoff, A, shocks=ROBUSTNESS_SHOCKS):
+    """Identification metrics of the scores after shifting the cut-off by gamma."""
     shocks = [float(g) for g in shocks]
     if not all(np.isfinite(shocks)):
         raise ValueError("shocks must be finite")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    scores = np.asarray(scores, dtype=float).ravel()
     A = np.asarray(A).ravel()
-    epsilon = pcafeat.reconstruction_errors(model.pca, X).epsilon
-    raw_scores = scorer.forward(model.net, epsilon)
-    table = []
-    for gamma in shocks:
-        predicted = (raw_scores > model.net.cutoff + gamma).astype(np.int64)
-        table.append((gamma, classification_metrics(A, predicted)))
-    return table
+    return [(gamma, classification_metrics(A, (scores > cutoff + gamma).astype(np.int64)))
+            for gamma in shocks]
 
 
 def amplitude_sensitivity(amplitudes, correct):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import density
+from . import density, evaluation
 
 DEFAULT_LATENT_DIM = 40
 
@@ -89,27 +89,15 @@ def reconstruction_errors(model: PcaModel, X) -> FeatureMatrix:
     """epsilon = X_c (Omega^T Omega - I) on rows centered by the training means."""
     X = np.asarray(X, dtype=float)
     squeeze = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != model.window_length:
-        raise ValueError(f"expected rows of length {model.window_length}, got {X.shape[1]}")
+    if squeeze:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != model.window_length:
+        raise ValueError(f"expected rows of length {model.window_length}, got shape {X.shape}")
     centered = X - model.mean
     epsilon = (centered @ model.omega.T) @ model.omega - centered
     if squeeze:
         epsilon = epsilon[0]
     return FeatureMatrix(epsilon=epsilon)
-
-
-def _f1(A, A_hat):
-    A = np.asarray(A)
-    A_hat = np.asarray(A_hat)
-    tp = int(np.sum((A == 1) & (A_hat == 1)))
-    fp = int(np.sum((A == 0) & (A_hat == 1)))
-    fn = int(np.sum((A == 1) & (A_hat == 0)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
 
 
 def calibrate_latent_dim(X_train, A_train, k_grid, tolerance=0.02):
@@ -143,7 +131,8 @@ def calibrate_latent_dim(X_train, A_train, k_grid, tolerance=0.02):
         f_u = density.fit_kde(scores[A == 0])
         f_c = density.fit_kde(scores[A == 1])
         cut = density.intersection_cutoff(f_u, f_c).cutoff
-        f1_by_k[k] = _f1(A, (scores > cut).astype(np.int64))
+        f1_by_k[k] = evaluation.classification_metrics(
+            A, (scores > cut).astype(np.int64)).f1
     best = max(f1_by_k.values())
     for k in grid:
         if f1_by_k[k] >= best - tolerance:

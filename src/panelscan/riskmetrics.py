@@ -74,6 +74,8 @@ def estimate_params(returns, h_steps=1) -> ReturnModel:
 
 def theoretical_return_model(mu, sigma, correlation, dt, h_steps=1) -> ReturnModel:
     """Return model implied by the generating GBM parameters."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     mat = simgen.correlation_matrix(correlation, mu.size)

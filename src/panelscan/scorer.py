@@ -119,11 +119,12 @@ def forward(net: ScoringNetwork, epsilon):
     last hidden activation. A single row gives bits identical to the
     row-major chain a @ W^T + b; a batch agrees with it to round-off.
     """
-    x = np.asarray(epsilon, dtype=float)
-    squeeze = x.ndim == 1
-    batch = np.atleast_2d(x)
-    if batch.shape[1] != net.layer_dims[0]:
-        raise ValueError(f"expected rows of length {net.layer_dims[0]}, got {batch.shape[1]}")
+    batch = np.asarray(epsilon, dtype=float)
+    squeeze = batch.ndim == 1
+    if squeeze:
+        batch = batch[None, :]
+    if batch.ndim != 2 or batch.shape[1] != net.layer_dims[0]:
+        raise ValueError(f"expected rows of length {net.layer_dims[0]}, got shape {batch.shape}")
     a = np.asfortranarray(batch).T
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         z = W @ a
@@ -301,8 +302,10 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     iterations for callers who want a harder indicator late in training.
     """
     cfg = cfg or TrainConfig()
-    if cfg.learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
+    if not (np.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
+    if not (np.isfinite(cfg.temperature) and cfg.temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {cfg.temperature}")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     # column-major once: every observation below runs forward on the whole set
@@ -322,8 +325,6 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         net.biases[-1] = net.biases[-1] / spread
         scores = scores / spread
     net.cutoff = float(np.median(scores))
-    if cfg.temperature <= 0:
-        raise ValueError("temperature must be positive")
     net.temperature = float(cfg.temperature)
 
     m_w = [np.zeros_like(w) for w in net.weights]

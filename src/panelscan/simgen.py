@@ -114,10 +114,6 @@ def _correlation_root(mat):
 def _validate_diffusion(config):
     if config.n_stocks < 1:
         raise ValueError("n_stocks must be >= 1")
-    if config.n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if config.dt <= 0:
-        raise ValueError("dt must be positive")
     for name in ("drift_range", "vol_range"):
         lo, hi = getattr(config, name)
         if hi < lo:
@@ -126,29 +122,41 @@ def _validate_diffusion(config):
         raise ValueError("volatility cannot be negative")
 
 
-def simulate_paths(s0, mu, sigma, correlation, dt, n_steps, seed):
-    """Diffuse GBM paths for fixed per-stock parameters.
+def _stock_streams(seed, n_stocks):
+    return [np.random.default_rng([seed, i]) for i in range(n_stocks)]
+
+
+def _diffuse(s0, mu, sigma, correlation, dt, n_steps, streams):
+    """Correlated GBM prices; stock i's shocks are the next n_steps normals of streams[i].
 
     The log-price increments are exact in distribution: jointly Gaussian across
-    stocks with the requested correlation, each stock driven by its own RNG
-    stream derived from (seed, stock index).
+    stocks with the requested correlation.
     """
-    s0 = np.asarray(s0, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    n_stocks = s0.size
     if np.any(s0 <= 0):
         raise ValueError("initial prices must be positive")
-    mat = correlation_matrix(correlation, n_stocks)
-    root = _correlation_root(mat)
-    shocks = np.empty((n_stocks, n_steps))
-    for i in range(n_stocks):
-        rng = np.random.default_rng([seed, i])
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    root = _correlation_root(correlation_matrix(correlation, s0.size))
+    shocks = np.empty((s0.size, n_steps))
+    for i, rng in enumerate(streams):
         shocks[i] = rng.standard_normal(n_steps)
     increments = root @ shocks
     log_growth = (mu - 0.5 * sigma**2)[:, None] * dt + sigma[:, None] * np.sqrt(dt) * increments
     prices = s0[:, None] * np.exp(np.cumsum(log_growth, axis=1))
     return PricePanel(prices=prices, s0=s0, mu=mu, sigma=sigma, dt=dt)
+
+
+def simulate_paths(s0, mu, sigma, correlation, dt, n_steps, seed):
+    """Diffuse GBM paths for fixed per-stock parameters.
+
+    Each stock is driven by its own RNG stream derived from (seed, stock index).
+    """
+    s0 = np.asarray(s0, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    return _diffuse(s0, mu, sigma, correlation, dt, n_steps, _stock_streams(seed, s0.size))
 
 
 def simulate_gbm(config: DiffusionConfig) -> PricePanel:
@@ -158,26 +166,15 @@ def simulate_gbm(config: DiffusionConfig) -> PricePanel:
     Gaussian shocks), so a path is reproducible from (seed, stock index) alone.
     """
     _validate_diffusion(config)
-    n = config.n_stocks
-    s0 = np.empty(n)
-    mu = np.empty(n)
-    sigma = np.empty(n)
-    shocks = np.empty((n, config.n_steps))
-    for i in range(n):
-        rng = np.random.default_rng([config.seed, i])
+    streams = _stock_streams(config.seed, config.n_stocks)
+    s0 = np.empty(config.n_stocks)
+    mu = np.empty(config.n_stocks)
+    sigma = np.empty(config.n_stocks)
+    for i, rng in enumerate(streams):
         s0[i] = config.s0_mean + config.s0_std * rng.standard_normal()
         mu[i] = rng.uniform(*config.drift_range)
         sigma[i] = rng.uniform(*config.vol_range)
-        shocks[i] = rng.standard_normal(config.n_steps)
-    if np.any(s0 <= 0):
-        raise ValueError("drew a non-positive initial price; adjust s0_mean/s0_std")
-    mat = correlation_matrix(config.correlation, n)
-    root = _correlation_root(mat)
-    increments = root @ shocks
-    log_growth = (mu - 0.5 * sigma**2)[:, None] * config.dt \
-        + sigma[:, None] * np.sqrt(config.dt) * increments
-    prices = s0[:, None] * np.exp(np.cumsum(log_growth, axis=1))
-    return PricePanel(prices=prices, s0=s0, mu=mu, sigma=sigma, dt=config.dt)
+    return _diffuse(s0, mu, sigma, config.correlation, config.dt, config.n_steps, streams)
 
 
 def contaminate(panel: PricePanel, cfg: ContaminationConfig):

@@ -14,6 +14,7 @@ derive_seed, so a single integer reproduces an entire study.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -60,16 +61,6 @@ class PipelineConfig:
 
 
 @dataclass
-class PanelSet:
-    clean_train: simgen.PricePanel
-    clean_test: simgen.PricePanel
-    contaminated_train: simgen.PricePanel
-    contaminated_test: simgen.PricePanel
-    train_value_labels: np.ndarray
-    test_value_labels: np.ndarray
-
-
-@dataclass
 class DatasetBundle:
     config: PipelineConfig
     clean_train: simgen.PricePanel
@@ -78,8 +69,8 @@ class DatasetBundle:
     contaminated_test: simgen.PricePanel
     train_value_labels: np.ndarray
     test_value_labels: np.ndarray
-    train: simgen.LabeledPanel
-    test: simgen.LabeledPanel
+    train: simgen.LabeledPanel = None  # None until the halves are windowed
+    test: simgen.LabeledPanel = None
 
 
 @dataclass
@@ -91,8 +82,8 @@ class PipelineResult:
     summary: dict
 
 
-def build_panels(cfg: PipelineConfig = None) -> PanelSet:
-    """Simulate one panel, split it, and contaminate each half."""
+def build_panels(cfg: PipelineConfig = None) -> DatasetBundle:
+    """Simulate one panel, split it, and contaminate each half; no windows yet."""
     cfg = cfg if cfg is not None else PipelineConfig()
     diffusion = simgen.DiffusionConfig(
         n_stocks=cfg.n_stocks, n_steps=cfg.n_steps,
@@ -104,8 +95,8 @@ def build_panels(cfg: PipelineConfig = None) -> PanelSet:
         n_anom=cfg.train_anoms, rho=cfg.rho, seed=derive_seed(cfg.seed, "contaminate_train")))
     contaminated_test, y_test = simgen.contaminate(clean_test, simgen.ContaminationConfig(
         n_anom=cfg.test_anoms, rho=cfg.rho, seed=derive_seed(cfg.seed, "contaminate_test")))
-    return PanelSet(
-        clean_train=clean_train, clean_test=clean_test,
+    return DatasetBundle(
+        config=cfg, clean_train=clean_train, clean_test=clean_test,
         contaminated_train=contaminated_train, contaminated_test=contaminated_test,
         train_value_labels=y_train, test_value_labels=y_test,
     )
@@ -115,36 +106,38 @@ def build_datasets(cfg: PipelineConfig = None) -> DatasetBundle:
     """Simulate, split, contaminate, window and select one reproducible study."""
     cfg = cfg if cfg is not None else PipelineConfig()
     panels = build_panels(cfg)
-    X_tr, sY_tr, prov_tr = simgen.slide(panels.contaminated_train,
-                                        panels.train_value_labels, cfg.window_length)
-    X_te, sY_te, prov_te = simgen.slide(panels.contaminated_test,
-                                        panels.test_value_labels, cfg.window_length)
-    train = simgen.build_labeled_panel(X_tr, sY_tr, prov_tr, "train", r_c=cfg.r_c,
-                                       seed=derive_seed(cfg.seed, "select_train"))
-    test = simgen.build_labeled_panel(X_te, sY_te, prov_te, "test", r_c=cfg.r_c,
-                                      seed=derive_seed(cfg.seed, "select_test"))
-    return DatasetBundle(
-        config=cfg,
-        clean_train=panels.clean_train, clean_test=panels.clean_test,
-        contaminated_train=panels.contaminated_train,
-        contaminated_test=panels.contaminated_test,
-        train_value_labels=panels.train_value_labels,
-        test_value_labels=panels.test_value_labels,
-        train=train, test=test,
+    return replace(
+        panels,
+        train=labeled_windows(panels.contaminated_train, panels.train_value_labels, "train",
+                              cfg.window_length, cfg.r_c, cfg.seed),
+        test=labeled_windows(panels.contaminated_test, panels.test_value_labels, "test",
+                             cfg.window_length, cfg.r_c, cfg.seed),
     )
 
 
+def labeled_windows(prices, value_labels, mode, window_length, r_c, seed):
+    """Window one contaminated part and select its labeled rows ("train" or "test" mode)."""
+    X, sY, provenance = simgen.slide(prices, value_labels, window_length)
+    return simgen.build_labeled_panel(X, sY, provenance, mode, r_c=r_c,
+                                      seed=derive_seed(seed, f"select_{mode}"))
+
+
+def fit_model(windows, A, latent_dim, train_cfg: scorer.TrainConfig):
+    """PCA features + scoring network on labeled train windows."""
+    pca = pcafeat.fit_pca(windows, latent_dim)
+    epsilon = pcafeat.reconstruction_errors(pca, windows).epsilon
+    result = scorer.train(epsilon, A, train_cfg)
+    return detector.DetectionModel(pca=pca, net=result.network), result
+
+
 def fit_detector(bundle: DatasetBundle, train_cfg: scorer.TrainConfig = None):
-    """PCA features + scoring network on the bundle's train rows."""
+    """fit_model on the bundle's train rows; by default trains with a derived seed."""
     cfg = bundle.config
-    pca = pcafeat.fit_pca(bundle.train.windows, cfg.latent_dim)
-    eps_train = pcafeat.reconstruction_errors(pca, bundle.train.windows).epsilon
     if train_cfg is None:
         train_cfg = cfg.train
     if train_cfg is None:
         train_cfg = scorer.TrainConfig(seed=derive_seed(cfg.seed, "train_net"))
-    result = scorer.train(eps_train, bundle.train.ident_labels, train_cfg)
-    return detector.DetectionModel(pca=pca, net=result.network), result
+    return fit_model(bundle.train.windows, bundle.train.ident_labels, cfg.latent_dim, train_cfg)
 
 
 def dummy_localize(windows):
@@ -164,36 +157,43 @@ def _class_aucs(scores_by_row, A, cutoff):
     return float(density.auc_above(f_u, cutoff)), float(density.auc_below(f_c, cutoff))
 
 
-def evaluate_run(model: detector.DetectionModel, bundle: DatasetBundle) -> dict:
-    """Identification/localization metrics plus the density AUC comparison.
+def split_metrics(scored: detector.ScoredRows, windows, A, L) -> dict:
+    """Identification and localization metrics of one scored window set.
 
     Localization is judged on every truly contaminated row, independently of
-    whether step 1 flagged it; dummy numbers use the raw-argmax baseline.
+    whether step 1 flagged it; the dummy figure is the raw-argmax baseline.
+    A set without contaminated rows gets identification only.
     """
+    out = {"ident": evaluation.classification_metrics(A, scored.flags)}
+    hot = A == 1
+    if hot.any():
+        out["loc"] = evaluation.localization_metrics(L[hot], scored.locations[hot])
+        out["dummy_loc_accuracy"] = float(np.mean(dummy_localize(windows)[hot] == L[hot]))
+    return out
+
+
+def evaluate_run(model: detector.DetectionModel, bundle: DatasetBundle) -> dict:
+    """split_metrics on both splits plus the density AUC comparison."""
     out = {}
     for split, panel in (("train", bundle.train), ("test", bundle.test)):
-        eps = pcafeat.reconstruction_errors(model.pca, panel.windows).epsilon
-        net_scores = scorer.forward(model.net, eps)
-        pred_A = (net_scores > model.net.cutoff).astype(np.int64)
-        pred_L = np.argmax(np.abs(eps), axis=1) + 1
-        hot = panel.ident_labels == 1
-        out[f"ident_{split}"] = evaluation.classification_metrics(panel.ident_labels, pred_A)
-        out[f"loc_{split}"] = evaluation.localization_metrics(panel.loc_labels[hot], pred_L[hot])
-        dummy = dummy_localize(panel.windows)
-        out[f"dummy_loc_accuracy_{split}"] = float(np.mean(dummy[hot] == panel.loc_labels[hot]))
+        scored = detector.score_rows(model, panel.windows)
+        metrics = split_metrics(scored, panel.windows, panel.ident_labels, panel.loc_labels)
+        out.update({f"{name}_{split}": value for name, value in metrics.items()})
         if split == "train":
             out["nn_auc_u"], out["nn_auc_c"] = _class_aucs(
-                net_scores, panel.ident_labels, model.net.cutoff)
-            raw = scorer.naive_scores(eps)
-            naive_cut = scorer.naive_fit(eps, panel.ident_labels)
+                scored.scores, panel.ident_labels, model.net.cutoff)
+            raw = scorer.naive_scores(scored.epsilon)
+            naive_cut = scorer.naive_fit(scored.epsilon, panel.ident_labels)
             out["naive_auc_u"], out["naive_auc_c"] = _class_aucs(
                 raw, panel.ident_labels, naive_cut)
             out["naive_cutoff"] = naive_cut
         else:
             ne = non_extreme_mask(panel)
+            truth = panel.loc_labels[ne]
             out["n_non_extreme"] = int(ne.sum())
-            out["non_extreme_accuracy"] = float(np.mean(pred_L[ne] == panel.loc_labels[ne]))
-            out["dummy_non_extreme_accuracy"] = float(np.mean(dummy[ne] == panel.loc_labels[ne]))
+            out["non_extreme_accuracy"] = float(np.mean(scored.locations[ne] == truth))
+            out["dummy_non_extreme_accuracy"] = float(
+                np.mean(dummy_localize(panel.windows)[ne] == truth))
     out["cutoff"] = float(model.net.cutoff)
     return out
 
@@ -210,17 +210,12 @@ def reference_run(cfg: PipelineConfig = None) -> PipelineResult:
                           training=training, summary=summary)
 
 
-def run_experiment(seed, base: PipelineConfig = None) -> dict:
-    """multirun-compatible wrapper: one seed in, one flat summary out."""
-    cfg = replace(base if base is not None else PipelineConfig(), seed=int(seed), train=None)
-    return reference_run(cfg).summary
-
-
-def amplitude_records(model: detector.DetectionModel, bundle: DatasetBundle):
+def amplitude_records(bundle: DatasetBundle, scored: detector.ScoredRows):
     """Injected shock amplitude and per-row correctness on contaminated test rows.
 
-    Amplitude is |contaminated/clean - 1| at the anomaly's absolute stamp,
-    recovered through the row's (stock, offset) provenance.
+    scored is score_rows on the bundle's test windows. Amplitude is
+    |contaminated/clean - 1| at the anomaly's absolute stamp, recovered
+    through the row's (stock, offset) provenance.
     """
     panel = bundle.test
     hot = panel.ident_labels == 1
@@ -228,11 +223,8 @@ def amplitude_records(model: detector.DetectionModel, bundle: DatasetBundle):
     stamps = panel.provenance[hot, 1] + panel.loc_labels[hot] - 1
     shocks = bundle.contaminated_test.prices / bundle.clean_test.prices - 1.0
     amplitudes = np.abs(shocks[stocks, stamps])
-    eps = pcafeat.reconstruction_errors(model.pca, panel.windows).epsilon
-    pred_A = (scorer.forward(model.net, eps) > model.net.cutoff).astype(np.int64)
-    pred_L = np.argmax(np.abs(eps), axis=1) + 1
-    ident_correct = pred_A[hot] == 1
-    loc_correct = pred_L[hot] == panel.loc_labels[hot]
+    ident_correct = scored.flags[hot]
+    loc_correct = scored.locations[hot] == panel.loc_labels[hot]
     return amplitudes, ident_correct, loc_correct
 
 
@@ -311,25 +303,52 @@ def impute_panel(prices, stamp_labels, method="BF", pca: pcafeat.PcaModel = None
     n_steps = prices.shape[1]
     for i in range(prices.shape[0]):
         for t in np.flatnonzero(stamp_labels[i]):
-            if method == "BF":
-                out[i, t] = out[i, t + 1] if t == 0 else out[i, t - 1]
-            elif method == "LI":
-                if t == 0:
-                    out[i, t] = out[i, 1]
-                elif t == n_steps - 1:
-                    out[i, t] = out[i, t - 1]
-                else:
-                    out[i, t] = 0.5 * (out[i, t - 1] + out[i, t + 1])
-            else:
+            if method == "PCA_RECON":
                 p = pca.window_length
                 off = min(max(t - (p - 1) // 2, 0), n_steps - p)
                 window = prices[i, off:off + p]
-                out[i, t] = detector.impute(window, t - off + 1, "PCA_RECON", pca=pca)[t - off]
+                out[i, t] = detector.impute(window, t - off + 1, method, pca=pca)[t - off]
+            else:
+                out[i] = detector.impute(out[i], t + 1, method)
     return out
 
 
-def _default_portfolio(n_stocks):
-    return riskmetrics.Portfolio(weights=np.full(n_stocks, 1.0 / n_stocks))
+def _fresh_panel(result: PipelineResult, study, run_index, n_anom):
+    """A new clean panel with the calibrated parameters, and its contamination."""
+    cfg = result.config
+    base = result.data.clean_train
+    clean = simgen.simulate_paths(
+        base.s0, base.mu, base.sigma, cfg.correlation, base.dt, cfg.n_steps,
+        seed=derive_seed(cfg.seed, f"{study}_paths", run_index))
+    contaminated, truth = simgen.contaminate(clean, simgen.ContaminationConfig(
+        n_anom=n_anom, rho=cfg.rho,
+        seed=derive_seed(cfg.seed, f"{study}_contaminate", run_index)))
+    return clean, contaminated, truth
+
+
+def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, h_steps,
+                  portfolio: riskmetrics.Portfolio, alpha, method="BF"):
+    """The five portfolio VaR estimates and each variant's error against theo.
+
+    theo comes from the generating (mu, sigma, correlation, dt); the other
+    four are fitted to the clean prices, the contaminated prices, and the
+    contaminated prices imputed at the true and at the predicted stamps.
+    Returns (estimates, errors): tag -> VarEstimate and tag -> (absolute,
+    relative) for every tag but theo.
+    """
+    variants = {
+        "clean": clean,
+        "anom": contaminated,
+        "loc_true": impute_panel(contaminated, truth, method=method),
+        "loc_pred": impute_panel(contaminated, pred, method=method),
+    }
+    theo_model = riskmetrics.theoretical_return_model(mu, sigma, correlation, dt, h_steps)
+    estimates = {"theo": riskmetrics.portfolio_var(theo_model, portfolio, alpha, source="theo")}
+    for tag, prices in variants.items():
+        fitted = riskmetrics.estimate_params(riskmetrics.log_returns(prices, h_steps), h_steps)
+        estimates[tag] = riskmetrics.portfolio_var(fitted, portfolio, alpha, source=tag)
+    errors = {tag: riskmetrics.var_errors(estimates["theo"], estimates[tag]) for tag in variants}
+    return estimates, errors
 
 
 def var_run(result: PipelineResult, run_index, n_anom=4, alpha=0.99, h_steps=1,
@@ -342,30 +361,15 @@ def var_run(result: PipelineResult, run_index, n_anom=4, alpha=0.99, h_steps=1,
     """
     cfg = result.config
     base = result.data.clean_train
-    clean = simgen.simulate_paths(
-        base.s0, base.mu, base.sigma, cfg.correlation, base.dt, cfg.n_steps,
-        seed=derive_seed(cfg.seed, "var_paths", run_index))
-    contaminated, truth = simgen.contaminate(clean, simgen.ContaminationConfig(
-        n_anom=n_anom, rho=cfg.rho,
-        seed=derive_seed(cfg.seed, "var_contaminate", run_index)))
+    clean, contaminated, truth = _fresh_panel(result, "var", run_index, n_anom)
     pred = detect_panel(result.model, contaminated.prices, method=method)
-    variants = {
-        "clean": clean.prices,
-        "anom": contaminated.prices,
-        "loc_true": impute_panel(contaminated.prices, truth, method=method),
-        "loc_pred": impute_panel(contaminated.prices, pred, method=method),
-    }
-    portfolio = riskmetrics.Portfolio(weights=np.asarray(weights, dtype=float)) \
-        if weights is not None else _default_portfolio(cfg.n_stocks)
-    theo_model = riskmetrics.theoretical_return_model(
-        base.mu, base.sigma, cfg.correlation, base.dt, h_steps)
-    estimates = {"theo": riskmetrics.portfolio_var(theo_model, portfolio, alpha, source="theo")}
-    for tag, prices in variants.items():
-        fitted = riskmetrics.estimate_params(riskmetrics.log_returns(prices, h_steps), h_steps)
-        estimates[tag] = riskmetrics.portfolio_var(fitted, portfolio, alpha, source=tag)
+    portfolio = riskmetrics.Portfolio(
+        weights=np.full(cfg.n_stocks, 1.0 / cfg.n_stocks) if weights is None else weights)
+    estimates, errors = var_estimates(
+        clean.prices, contaminated.prices, truth, pred, base.mu, base.sigma,
+        cfg.correlation, base.dt, h_steps, portfolio, alpha, method=method)
     out = {f"var_{tag}": est.value for tag, est in estimates.items()}
-    for tag in variants:
-        absolute, relative = riskmetrics.var_errors(estimates["theo"], estimates[tag])
+    for tag, (absolute, relative) in errors.items():
         out[f"abs_err_{tag}"] = absolute
         out[f"rel_err_{tag}"] = relative
     hits = int(np.sum((pred == 1) & (truth == 1)))
@@ -378,9 +382,8 @@ def var_run(result: PipelineResult, run_index, n_anom=4, alpha=0.99, h_steps=1,
 def var_experiment(result: PipelineResult, n_anom=4, n_runs=50, alpha=0.99,
                    h_steps=1, weights=None, method="BF") -> evaluation.MultirunResult:
     """Mean/std of the five VaR figures and their errors over fresh panels."""
-    def runner(run_index):
-        return var_run(result, run_index, n_anom=n_anom, alpha=alpha,
-                       h_steps=h_steps, weights=weights, method=method)
+    runner = partial(var_run, result, n_anom=n_anom, alpha=alpha, h_steps=h_steps,
+                     weights=weights, method=method)
     return evaluation.multirun(runner, seeds=range(n_runs))
 
 
@@ -392,12 +395,7 @@ def imputation_run(result: PipelineResult, run_index, n_anom=4, h_steps=1) -> di
     """
     cfg = result.config
     base = result.data.clean_train
-    clean = simgen.simulate_paths(
-        base.s0, base.mu, base.sigma, cfg.correlation, base.dt, cfg.n_steps,
-        seed=derive_seed(cfg.seed, "imputation_paths", run_index))
-    contaminated, truth = simgen.contaminate(clean, simgen.ContaminationConfig(
-        n_anom=n_anom, rho=cfg.rho,
-        seed=derive_seed(cfg.seed, "imputation_contaminate", run_index)))
+    clean, contaminated, truth = _fresh_panel(result, "imputation", run_index, n_anom)
     variants = {"clean": clean.prices, "anom": contaminated.prices}
     for method in detector.IMPUTATION_METHODS:
         variants[method] = impute_panel(contaminated.prices, truth, method=method,
@@ -418,6 +416,5 @@ def imputation_run(result: PipelineResult, run_index, n_anom=4, h_steps=1) -> di
 def imputation_experiment(result: PipelineResult, n_anom=4, n_runs=100,
                           h_steps=1) -> evaluation.MultirunResult:
     """Mean/std imputation and covariance errors over fresh contaminated panels."""
-    def runner(run_index):
-        return imputation_run(result, run_index, n_anom=n_anom, h_steps=h_steps)
+    runner = partial(imputation_run, result, n_anom=n_anom, h_steps=h_steps)
     return evaluation.multirun(runner, seeds=range(n_runs))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from panelscan import evaluation, pcafeat, workflows
+from panelscan import detector, evaluation, pcafeat, workflows
 
 SEEDS = tuple(range(10))
 
@@ -105,8 +105,9 @@ def test_cutoff_shock_robustness(reference_runs):
     saturation_notes = []
     for run in reference_runs:
         panel = run.data.test
+        scores = detector.score_rows(run.model, panel.windows).scores
         table = dict(evaluation.cutoff_robustness(
-            run.model, panel.windows, panel.ident_labels))
+            scores, run.model.net.cutoff, panel.ident_labels))
         base_acc = table[0.0].accuracy
         max_shifts.append(max(
             abs(table[g].accuracy - base_acc)
@@ -175,7 +176,8 @@ def test_detection_ratio_by_amplitude_quartile(reference_runs):
     correct = []
     fp = tn = 0
     for run in reference_runs:
-        amp, ident_ok, _ = workflows.amplitude_records(run.model, run.data)
+        amp, ident_ok, _ = workflows.amplitude_records(
+            run.data, detector.score_rows(run.model, run.data.test.windows))
         amplitudes.append(amp)
         correct.append(ident_ok)
         counts = run.summary["ident_test"].counts

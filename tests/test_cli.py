@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelscan import cli, evaluation, io, simgen
+from panelscan import cli, evaluation, io, scorer, simgen, workflows
 
 # small panel that still leaves every split with both window classes
 SIM_FLAGS = ["--stocks", "6", "--steps", "380", "--split-index", "220",
@@ -115,6 +115,18 @@ def test_augment_split_zero_keeps_one_set(workdir, tmp_path):
     assert not (tmp_path / "windows_test.csv").exists()
 
 
+@pytest.mark.parametrize("split", [-160, -5, 380, 1000])
+def test_augment_split_outside_the_panel_exits_3_before_writing(workdir, tmp_path, split):
+    # -160 would slice the same halves as 220, the split the workdir uses
+    out = tmp_path / "out"
+    out.mkdir()
+    assert _run("augment", "--out-dir", out, "--quiet",
+                "--panel", workdir / "contaminated_panel.csv",
+                "--value-labels", workdir / "value_labels.csv",
+                "--split-index", split, "--window-length", 64) == 3
+    assert not list(out.iterdir())
+
+
 def test_augment_shape_mismatch_exits_3(workdir, tmp_path):
     io.write_panel(tmp_path / "small.csv", np.ones((2, 3)))
     assert _run("augment", "--out-dir", tmp_path, "--quiet",
@@ -158,6 +170,17 @@ def test_fit_single_class_labels_exit_3(tmp_path):
     assert _run("fit", "--out-dir", tmp_path, "--quiet",
                 "--windows", tmp_path / "w.csv", "--labels", tmp_path / "l.csv",
                 "--k", 2, "--hidden", 4, "--iters", 5) == 3
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--tau"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_fit_refuses_a_rate_or_temperature_that_is_not_positive(workdir, tmp_path, capsys,
+                                                                 flag, value):
+    assert _run("fit", "--out-dir", tmp_path, "--quiet",
+                "--windows", workdir / "windows_train.csv",
+                "--labels", workdir / "labels_train.csv", *FIT_FLAGS, flag, value) == 3
+    assert "must be finite and > 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fit_missing_input_exits_2(tmp_path):
@@ -249,6 +272,27 @@ def test_evaluate_emits_metrics_and_tables(workdir, tmp_path):
     assert len(adf) == 2
 
 
+def test_evaluate_matches_the_test_half_of_evaluate_run(tmp_path):
+    cfg = workflows.PipelineConfig(
+        n_stocks=6, n_steps=380, split_index=220, window_length=64, train_anoms=2,
+        test_anoms=1, latent_dim=12, seed=3,
+        train=scorer.TrainConfig(hidden_dims=(16,), max_iters=40, seed=3))
+    result = workflows.reference_run(cfg)
+    test = result.data.test
+    io.write_pca_model(tmp_path / "pca.txt", result.model.pca)
+    io.write_network(tmp_path / "net.txt", result.model.net)
+    io.write_panel(tmp_path / "windows.csv", test.windows)
+    io.write_labels(tmp_path / "labels.csv", test.ident_labels, test.loc_labels)
+    assert _run("evaluate", "--out-dir", tmp_path, "--quiet",
+                "--windows", tmp_path / "windows.csv", "--labels", tmp_path / "labels.csv",
+                "--pca", tmp_path / "pca.txt", "--net", tmp_path / "net.txt") == 0
+    metrics = io.read_json(tmp_path / "metrics.json")
+    assert metrics["identification"] == result.summary["ident_test"].as_dict()
+    assert metrics["localization"] == result.summary["loc_test"].as_dict()
+    assert (metrics["dummy_localization_accuracy"]
+            == result.summary["dummy_loc_accuracy_test"])
+
+
 def test_evaluate_label_count_mismatch_exits_3(workdir, tmp_path):
     lines = (workdir / "labels_test.csv").read_text().splitlines()
     (tmp_path / "short.csv").write_text("\n".join(lines[:-3]) + "\n")
@@ -299,6 +343,14 @@ def test_var_non_finite_price_exits_2(workdir, tmp_path, capsys):
         io.write_panel(tmp_path / "bad.csv", prices)
         assert _run(*_var_flags(workdir, tmp_path), "--panel", tmp_path / "bad.csv") == 2
         assert "non-finite price" in capsys.readouterr().err
+    assert not (tmp_path / "var_report.json").exists()
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "-1", "0"])
+def test_var_refuses_a_step_size_that_is_not_positive(workdir, tmp_path, capsys, dt):
+    assert _run(*_var_flags(workdir, tmp_path), "--panel", workdir / "contaminated_panel.csv",
+                "--dt", dt) == 3
+    assert "dt must be finite and > 0" in capsys.readouterr().err
     assert not (tmp_path / "var_report.json").exists()
 
 

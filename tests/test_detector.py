@@ -1,4 +1,4 @@
-"""Two-step detection: identify, localize, impute, iterate."""
+"""Two-step detection: score_rows (identify and localize), impute, iterate."""
 
 import numpy as np
 import pytest
@@ -43,13 +43,13 @@ def test_identify_is_strictly_above_cutoff():
     clean = X[0]
     spiked = clean.copy()
     spiked[4] += 3.0
-    labels = detector.identify(model, np.vstack([clean, spiked]))
+    labels = detector.score_rows(model, np.vstack([clean, spiked])).flags
     np.testing.assert_array_equal(labels, [0, 1])
     # a window scoring exactly at the cutoff is NOT flagged
     eps = pcafeat.reconstruction_errors(model.pca, clean).epsilon
     exact = scorer.forward(model.net, eps)
     model.net.cutoff = float(exact)
-    assert detector.identify(model, clean)[0] == 0
+    assert detector.score_rows(model, clean).flags[0] == 0
     report = detector.detect_iterative(model, clean)
     assert (report.pred_label, report.iterations_used, report.locations) == (0, 0, [])
 
@@ -59,16 +59,19 @@ def test_localize_finds_the_spike():
     for j in (0, 3, 9):
         spiked = X[1].copy()
         spiked[j] += 2.5
-        assert detector.localize(model.pca, spiked) == j + 1
+        assert detector.score_rows(model, spiked).locations[0] == j + 1
 
 
 def test_localize_tie_breaks_to_first_index():
     pca = pcafeat.PcaModel(mean=np.zeros(4), omega=np.zeros((1, 4)),
                            eigenvalues=np.ones(1), k=1)
     pca.omega[0, 0] = 1.0
+    net = scorer.ScoringNetwork(layer_dims=[4, 1], weights=[np.zeros((1, 4))],
+                                biases=[np.zeros(1)], cutoff=0.0, temperature=1.0)
+    model = detector.DetectionModel(pca=pca, net=net)
     # epsilon = -(x - mean) outside the first axis: equal spikes at 2 and 4
-    row = np.array([7.0, 2.0, 0.0, -2.0])
-    assert detector.localize(pca, row) == 2
+    rows = np.array([[7.0, 2.0, 0.0, -2.0], [0.0, -3.0, 0.0, 3.0]])
+    np.testing.assert_array_equal(detector.score_rows(model, rows).locations, [2, 2])
 
 
 def test_impute_backward_fill():
@@ -99,6 +102,19 @@ def test_impute_pca_reconstruction():
         detector.impute(spiked, 6, "PCA_RECON")
 
 
+def test_impute_panel_reads_progressively_imputed_neighbours():
+    prices = np.array([[10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0]])
+    stamps = np.array([[1, 1, 0, 0, 1], [1, 0, 0, 1, 0]])
+    # stamp 1 of the first series reads the value already imputed at stamp 0
+    np.testing.assert_array_equal(workflows.impute_panel(prices, stamps, "BF"),
+                                  [[20.0, 20.0, 30.0, 40.0, 40.0], [2.0, 2.0, 3.0, 3.0, 5.0]])
+    np.testing.assert_array_equal(workflows.impute_panel(prices, stamps, "LI"),
+                                  [[20.0, 25.0, 30.0, 40.0, 40.0], [2.0, 2.0, 3.0, 4.0, 5.0]])
+    assert prices[0, 0] == 10.0
+    with pytest.raises(ValueError, match="needs the fitted PcaModel"):
+        workflows.impute_panel(prices, stamps, "PCA_RECON")
+
+
 def test_impute_validation():
     row = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
@@ -121,7 +137,7 @@ def test_detect_iterative_removes_planted_anomalies():
     assert report.iterations_used == len(report.locations)
     assert not report.repeated_location
     # the imputed series no longer identifies
-    assert detector.identify(model, report.imputed_series)[0] == 0
+    assert detector.score_rows(model, report.imputed_series).flags[0] == 0
 
 
 def test_detect_iterative_clean_window_short_circuits():
@@ -162,26 +178,35 @@ def test_detect_iterative_flags_repeated_location():
 
 def test_scores_match_forward_on_features():
     model, X = _planted_model(seed=7)
-    eps = pcafeat.reconstruction_errors(model.pca, X[:4]).epsilon
-    np.testing.assert_allclose(detector.scores(model, X[:4]),
-                               scorer.forward(model.net, eps), rtol=1e-14)
+    rows = X[:4].copy()
+    rows[2, 5] += 3.0
+    eps = pcafeat.reconstruction_errors(model.pca, rows).epsilon
+    scored = detector.score_rows(model, rows)
+    np.testing.assert_array_equal(scored.epsilon, eps)
+    np.testing.assert_allclose(scored.scores, scorer.forward(model.net, eps), rtol=1e-14)
+    np.testing.assert_array_equal(scored.flags, scored.scores > model.net.cutoff)
+    np.testing.assert_array_equal(scored.locations, np.argmax(np.abs(eps), axis=1) + 1)
+    assert scored.flags.tolist() == [False, False, True, False] and scored.locations[2] == 6
 
 
 def _reference_detect(model, row, method, max_iter):
-    """The per-row loop that detect_batch replaced: epsilon is recomputed to localize."""
+    """The per-row loop that detect_batch replaced, with each step written out."""
+    def features(row):
+        return pcafeat.reconstruction_errors(model.pca, row[None, :]).epsilon
+
     row = np.asarray(row, dtype=float).copy()
-    first = float(detector.scores(model, row)[0])
+    first = float(scorer.forward(model.net, features(row))[0])
     locations, repeated, iterations = [], False, 0
     contaminated = first > model.net.cutoff
     while contaminated and iterations < max_iter:
         iterations += 1
-        location = detector.localize(model.pca, row)
+        location = int(np.argmax(np.abs(features(row)[0]))) + 1
         if location in locations:
             repeated = True
             break
         locations.append(location)
         row = detector.impute(row, location, method, pca=model.pca)
-        contaminated = float(detector.scores(model, row)[0]) > model.net.cutoff
+        contaminated = float(scorer.forward(model.net, features(row))[0]) > model.net.cutoff
     return detector.DetectionReport(int(first > model.net.cutoff), first, locations, row,
                                     iterations, repeated)
 

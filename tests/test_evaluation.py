@@ -240,9 +240,10 @@ def _toy_model(seed=0, n=40, p=6, k=2):
 def test_cutoff_robustness_zero_shock_is_baseline():
     model, X = _toy_model()
     A = (np.arange(40) % 2).astype(int)
-    table = dict(evaluation.cutoff_robustness(model, X, A))
     eps = pcafeat.reconstruction_errors(model.pca, X).epsilon
-    direct = (scorer.forward(model.net, eps) > model.net.cutoff).astype(int)
+    scores = scorer.forward(model.net, eps)
+    table = dict(evaluation.cutoff_robustness(scores, model.net.cutoff, A))
+    direct = (scores > model.net.cutoff).astype(int)
     baseline = evaluation.classification_metrics(A, direct)
     assert table[0.0].as_dict() == baseline.as_dict()
 
@@ -250,7 +251,8 @@ def test_cutoff_robustness_zero_shock_is_baseline():
 def test_cutoff_robustness_monotone_in_gamma():
     model, X = _toy_model(seed=3)
     A = (np.arange(40) % 3 == 0).astype(int)
-    table = evaluation.cutoff_robustness(model, X, A)
+    table = evaluation.cutoff_robustness(detector.score_rows(model, X).scores,
+                                         model.net.cutoff, A)
     gammas = [g for g, _ in table]
     assert gammas == sorted(gammas)
     recalls = [rep.recall for _, rep in table]
@@ -261,8 +263,10 @@ def test_cutoff_robustness_monotone_in_gamma():
 
 def test_cutoff_robustness_rejects_non_finite_shocks():
     model, X = _toy_model(seed=4)
+    scores = detector.score_rows(model, X).scores
     with pytest.raises(ValueError):
-        evaluation.cutoff_robustness(model, X, np.zeros(40, dtype=int), shocks=(0.0, np.inf))
+        evaluation.cutoff_robustness(scores, model.net.cutoff, np.zeros(40, dtype=int),
+                                     shocks=(0.0, np.inf))
 
 
 def test_amplitude_sensitivity_quartile_buckets():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from panelscan import riskmetrics, simgen
+from panelscan import riskmetrics, simgen, workflows
 
 # inverse standard normal CDF by 200-step bisection on 0.5*erfc(-x/sqrt(2))
 BISECTION_QUANTILES = {
@@ -59,6 +59,32 @@ def test_simulated_return_moments_match_theory():
     se_var = expected_var * math.sqrt(2.0 / n)
     assert abs(returns.mean() - expected_mean) < 3.0 * se_mean
     assert abs(returns.var(ddof=1) - expected_var) < 3.0 * se_var
+
+
+def test_var_estimates_price_each_variant_against_theo():
+    clean = simgen.simulate_gbm(simgen.DiffusionConfig(n_stocks=3, n_steps=300, seed=4))
+    dirty, truth = simgen.contaminate(clean, simgen.ContaminationConfig(n_anom=3, seed=2))
+    portfolio = riskmetrics.Portfolio(weights=np.full(3, 1.0 / 3.0))
+    nothing_predicted = np.zeros_like(truth)
+    estimates, errors = workflows.var_estimates(
+        clean.prices, dirty.prices, truth, nothing_predicted, clean.mu, clean.sigma, 0.5,
+        clean.dt, 1, portfolio, 0.99)
+
+    def fitted(prices):
+        model = riskmetrics.estimate_params(riskmetrics.log_returns(prices))
+        return riskmetrics.portfolio_var(model, portfolio, 0.99).value
+
+    theo = riskmetrics.portfolio_var(
+        riskmetrics.theoretical_return_model(clean.mu, clean.sigma, 0.5, clean.dt),
+        portfolio, 0.99, source="theo")
+    assert estimates["theo"].value == theo.value
+    assert estimates["clean"].value == fitted(clean.prices)
+    assert estimates["anom"].value == estimates["loc_pred"].value == fitted(dirty.prices)
+    assert estimates["loc_true"].value == fitted(workflows.impute_panel(dirty.prices, truth))
+    assert estimates["loc_true"].value != estimates["anom"].value
+    assert set(errors) == {"clean", "anom", "loc_true", "loc_pred"}
+    for tag, pair in errors.items():
+        assert pair == riskmetrics.var_errors(theo, estimates[tag])
 
 
 def test_estimate_params_identical_series_zero_covariance():
@@ -153,6 +179,9 @@ def test_theoretical_return_model_from_gbm_parameters():
     assert model.sigma[0, 0] == pytest.approx(0.04 * dt * 3, rel=1e-12)
     assert model.sigma[0, 1] == pytest.approx(0.5 * 0.2 * 0.1 * dt * 3, rel=1e-12)
     assert model.horizon == 3
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            riskmetrics.theoretical_return_model(mu, sigma, 0.5, bad)
 
 
 def test_var_errors_zero_and_scale_invariance():

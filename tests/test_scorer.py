@@ -257,8 +257,9 @@ def test_training_temperature_anneals_when_opted_in():
 
 def test_training_rejects_non_positive_temperature():
     X, A = _separable_set(seed=15, n=24)
-    with pytest.raises(ValueError):
-        scorer.train(X, A, scorer.TrainConfig(max_iters=2, temperature=0.0))
+    for tau in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            scorer.train(X, A, scorer.TrainConfig(max_iters=2, temperature=tau))
 
 
 def test_training_validation_and_divergence_guard():
@@ -269,8 +270,9 @@ def test_training_validation_and_divergence_guard():
         scorer.train(X, A[:-1], scorer.TrainConfig(max_iters=2))
     with pytest.raises(ValueError):
         scorer.train(X, A, scorer.TrainConfig(max_iters=0))
-    with pytest.raises(ValueError):
-        scorer.train(X, A, scorer.TrainConfig(learning_rate=0.0))
+    for lr in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            scorer.train(X, A, scorer.TrainConfig(learning_rate=lr))
     X_bad = X.copy()
     X_bad[0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="diverged"):

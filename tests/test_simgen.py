@@ -82,6 +82,16 @@ def test_return_correlation_converges_to_target():
     np.testing.assert_allclose(off, 0.5, atol=0.02)
 
 
+@pytest.mark.parametrize("dt, n_steps", [(0.0, 5), (-1e-3, 5), (float("nan"), 5),
+                                         (float("inf"), 5), (1e-3, 0), (1e-3, -3)])
+def test_both_simulators_refuse_a_bad_step_size_or_count(dt, n_steps):
+    with pytest.raises(ValueError, match="dt must be finite and > 0|n_steps must be >= 1"):
+        simgen.simulate_paths(s0=[100.0, 90.0], mu=[0.1, 0.05], sigma=[0.02, 0.03],
+                              correlation=0.3, dt=dt, n_steps=n_steps, seed=0)
+    with pytest.raises(ValueError, match="dt must be finite and > 0|n_steps must be >= 1"):
+        simgen.simulate_gbm(simgen.DiffusionConfig(n_stocks=2, n_steps=n_steps, dt=dt))
+
+
 def test_correlation_matrix_validation():
     with pytest.raises(ValueError):
         simgen.correlation_matrix(1.0, 3)
