@@ -142,6 +142,9 @@ def _read_window_set(args, need_labels):
     A, L = _read(io.read_labels, args.labels)
     if A.size != windows.shape[0]:
         raise ValueError(f"{A.size} labels for {windows.shape[0]} window rows")
+    if np.any(L > windows.shape[1]):
+        raise ValueError(f"a label location {int(L.max())} lies beyond the window length "
+                         f"{windows.shape[1]}")
     return windows, A, L
 
 

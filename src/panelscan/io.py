@@ -2,7 +2,10 @@
 
 Every file is UTF-8 with LF line endings and `.` as the decimal point.
 Floats are written with 17 significant digits, so write/read round trips
-reproduce the in-memory values bit-exactly. Readers raise ValueError on
+reproduce the in-memory values bit-exactly. Panel-layout files (panels,
+windows, value labels) go through two kernels: `write_panel` writes each row
+with one %-format string, and `read_panel` parses every value with one
+`np.loadtxt` call. Readers raise ValueError on
 malformed content, including non-finite numbers, and OSError on filesystem
 problems; the CLI maps those to its exit codes. JSON reports write non-finite
 floats as null, never as bare NaN or Infinity.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from io import StringIO
 
 import numpy as np
 
@@ -38,7 +42,10 @@ def _writer(handle):
 
 def _read_rows(path):
     with open(path, encoding="utf-8", newline="") as handle:
-        return list(csv.reader(handle))
+        try:
+            return list(csv.reader(handle))
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_float(text, path, what):
@@ -58,36 +65,84 @@ def _finite(values, path, what):
 
 # -- panels ------------------------------------------------------------------
 
+def _id_cell(sid):
+    """A series id as csv.writer writes a row's first field; line breaks are refused."""
+    buffer = StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([sid, ""])
+    cell = buffer.getvalue()[:-2]
+    if "\n" in cell or "\r" in cell:
+        raise ValueError(f"series id {sid!r} contains a line break")
+    return cell
+
+
+def _quoted_id(line, path):
+    """Split a row whose first field is csv-quoted into (id, the rest after its comma)."""
+    end = 1
+    while True:
+        end = line.find('"', end)
+        if end < 0:
+            raise ValueError(f"{path}: unterminated quoted series id in {line[:40]!r}")
+        if not line.startswith('""', end):
+            break
+        end += 2
+    if not line.startswith(",", end + 1):
+        raise ValueError(f"{path}: quoted series id must be followed by ',' in {line[:40]!r}")
+    return line[1:end].replace('""', '"'), line[end + 2:]
+
+
 def write_panel(path, prices, series_ids=None, fmt=_FLOAT_FMT):
-    """Panel CSV: header series_id,t_1,...,t_T, one row per series."""
+    """Panel CSV: header series_id,t_1,...,t_T, one row per series.
+
+    Every row is one %-format string applied to `row.tolist()`; `"%.17g" % v`
+    writes the same bytes as `format(v, ".17g")`.
+    """
     prices = np.atleast_2d(np.asarray(prices))
     n, T = prices.shape
+    if T == 0:
+        raise ValueError("a panel needs at least one column")
     if series_ids is None:
         series_ids = range(n)
+    cells = [_id_cell(sid) for sid, _ in zip(series_ids, range(n))]
+    row_format = "%s," + ",".join(["%" + fmt] * T) + "\n"
     with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["series_id"] + [f"t_{j}" for j in range(1, T + 1)])
-        for sid, row in zip(series_ids, prices):
-            out.writerow([sid] + [format(v, fmt) for v in row])
+        _writer(handle).writerow(["series_id"] + [f"t_{j}" for j in range(1, T + 1)])
+        for cell, row in zip(cells, prices):
+            handle.write(row_format % (cell, *row.tolist()))
 
 
 def read_panel(path):
-    """Read a panel CSV back as (series_ids, prices)."""
-    rows = _read_rows(path)
-    if not rows or rows[0][:1] != ["series_id"]:
+    """Read a panel CSV back as (series_ids, prices).
+
+    Ids are each row's first field; a csv-quoted id is unquoted. The values
+    are parsed by one `np.loadtxt` call, which reads what `float` reads except
+    underscores, non-ASCII digits and quoted cells; those are refused.
+    """
+    with open(path, encoding="utf-8") as handle:  # universal newlines: \r\n and \r end rows
+        header = handle.readline().rstrip("\n").split(",")
+        lines = handle.readlines()
+    if header[0] != "series_id":
         raise ValueError(f"{path}: expected a panel CSV with a series_id header")
-    T = len(rows[0]) - 1
-    if rows[0][1:] != [f"t_{j}" for j in range(1, T + 1)]:
+    T = len(header) - 1
+    if T == 0 or header[1:] != [f"t_{j}" for j in range(1, T + 1)]:
         raise ValueError(f"{path}: panel header columns must be t_1..t_{T}")
-    series_ids = []
-    prices = []
-    for row in rows[1:]:
-        if len(row) != T + 1:
-            raise ValueError(f"{path}: row {row[:1]} has {len(row) - 1} values, expected {T}")
-        series_ids.append(row[0])
-        prices.append([_parse_float(v, path, "price") for v in row[1:]])
-    if not prices:
+    if not lines:
         raise ValueError(f"{path}: panel has no series")
+    series_ids = []
+    for index, line in enumerate(lines):
+        if line.startswith('"'):
+            sid, rest = _quoted_id(line, path)
+            line = lines[index] = "," + rest
+        else:
+            comma = line.find(",")
+            sid = line.rstrip("\n") if comma < 0 else line[:comma]
+        if line.count(",") != T:
+            raise ValueError(f"{path}: row {[sid]} has {line.count(',')} values, expected {T}")
+        series_ids.append(sid)
+    try:
+        prices = np.loadtxt(lines, delimiter=",", usecols=range(1, T + 1), ndmin=2,
+                            dtype=float, comments=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed price: {exc}") from exc
     return series_ids, _finite(prices, path, "price")
 
 
@@ -99,10 +154,11 @@ def write_value_labels(path, labels, series_ids=None):
 
 def read_value_labels(path):
     series_ids, values = read_panel(path)
-    labels = values.astype(np.int64)
-    if not np.array_equal(labels, values):
+    if not np.array_equal(np.round(values), values):
         raise ValueError(f"{path}: value labels must be integers")
-    return series_ids, labels
+    if not np.all((values == 0) | (values == 1)):
+        raise ValueError(f"{path}: value labels must be 0 or 1")
+    return series_ids, values.astype(np.int64)
 
 
 def write_params(path, panel):
@@ -126,7 +182,12 @@ def read_params(path):
             store.append(_parse_float(value, path, name))
     if not cols[0]:
         raise ValueError(f"{path}: params file has no series")
-    return tuple(_finite(c, path, name) for c, name in zip(cols, ("s0", "mu", "sigma")))
+    s0, mu, sigma = (_finite(c, path, name) for c, name in zip(cols, ("s0", "mu", "sigma")))
+    if np.any(s0 <= 0):
+        raise ValueError(f"{path}: s0 must be positive")
+    if np.any(sigma < 0):
+        raise ValueError(f"{path}: sigma must not be negative")
+    return s0, mu, sigma
 
 
 def write_weights(path, weights, series_ids=None):

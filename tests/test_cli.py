@@ -301,6 +301,19 @@ def test_evaluate_label_count_mismatch_exits_3(workdir, tmp_path):
                 "--labels", tmp_path / "short.csv", *_model_flags(workdir)) == 3
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_label_location_beyond_the_window_exits_3(workdir, tmp_path, capsys, command):
+    A, _ = io.read_labels(workdir / "labels_test.csv")
+    io.write_labels(tmp_path / "labels.csv", A, np.where(A == 1, 65, 0))
+    out = tmp_path / "out"
+    out.mkdir()
+    flags = FIT_FLAGS if command == "fit" else _model_flags(workdir)
+    assert _run(command, "--out-dir", out, "--quiet", "--windows", workdir / "windows_test.csv",
+                "--labels", tmp_path / "labels.csv", *flags) == 3
+    assert "label location 65 lies beyond the window length 64" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 # -- var -----------------------------------------------------------------
 
 
@@ -343,6 +356,24 @@ def test_var_non_finite_price_exits_2(workdir, tmp_path, capsys):
         io.write_panel(tmp_path / "bad.csv", prices)
         assert _run(*_var_flags(workdir, tmp_path), "--panel", tmp_path / "bad.csv") == 2
         assert "non-finite price" in capsys.readouterr().err
+    assert not (tmp_path / "var_report.json").exists()
+
+
+def test_var_refuses_labels_other_than_0_or_1_and_a_negative_sigma(workdir, tmp_path, capsys):
+    _, labels = io.read_value_labels(workdir / "value_labels.csv")
+    labels[2, 30] = 2
+    io.write_value_labels(tmp_path / "labels.csv", labels)
+    params = (workdir / "params.csv").read_text().splitlines()
+    params[2] = ",".join(params[2].split(",")[:3] + ["-0.2"])
+    (tmp_path / "params.csv").write_text("\n".join(params) + "\n")
+    base = ["var", "--out-dir", tmp_path, "--quiet", "--clean", workdir / "clean_panel.csv",
+            "--panel", workdir / "contaminated_panel.csv", *_model_flags(workdir)]
+    assert _run(*base, "--value-labels", tmp_path / "labels.csv",
+                "--params", workdir / "params.csv") == 2
+    assert "value labels must be 0 or 1" in capsys.readouterr().err
+    assert _run(*base, "--value-labels", workdir / "value_labels.csv",
+                "--params", tmp_path / "params.csv") == 2
+    assert "sigma must not be negative" in capsys.readouterr().err
     assert not (tmp_path / "var_report.json").exists()
 
 

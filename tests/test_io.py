@@ -1,11 +1,15 @@
 """CSV and model-file round trips: 17-digit floats must come back bit-exact."""
 
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from panelscan import detector, io, pcafeat, scorer, simgen
+from panelscan import cli, detector, io, pcafeat, scorer, simgen
 
 # awkward float64 values: shortest repr needs the full 17 significant digits,
 # subnormals, and the extremes of the exponent range
@@ -58,9 +62,10 @@ def test_read_panel_rejects_bad_header(tmp_path):
     path.write_text("stock,t_1\n0,1.0\n")
     with pytest.raises(ValueError):
         io.read_panel(path)
-    path.write_text("series_id,t_1,t_3\n0,1.0,2.0\n")
-    with pytest.raises(ValueError):
-        io.read_panel(path)
+    for header in ("series_id,t_1,t_3", "series_id,t_1,t_2 ", "series_id"):
+        path.write_text(f"{header}\n0,1.0,2.0\n")
+        with pytest.raises(ValueError):
+            io.read_panel(path)
 
 
 def test_read_panel_rejects_ragged_and_empty(tmp_path):
@@ -88,6 +93,35 @@ def test_read_panel_missing_file_raises_oserror(tmp_path):
         io.read_panel(tmp_path / "nope.csv")
 
 
+def test_write_panel_golden_bytes(tmp_path):
+    # bytes written by the csv.writer/format(v, ".17g") writer the row format replaced
+    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0 / 3.0, 100.0]
+    path = tmp_path / "panel.csv"
+    io.write_panel(path, [values, [-v for v in reversed(values)]],
+                   series_ids=["AAA", 'B,"x"'])
+    assert path.read_bytes() == (
+        b"series_id,t_1,t_2,t_3,t_4,t_5,t_6,t_7\n"
+        b"AAA,-0,4.9406564584124654e-324,2.2250738585072014e-308,1e+308,"
+        b"0.10000000000000001,0.33333333333333331,100\n"
+        b'"B,""x""",-100,-0.33333333333333331,-0.10000000000000001,-1e+308,'
+        b"-2.2250738585072014e-308,-4.9406564584124654e-324,0\n")
+    ids, back = io.read_panel(path)
+    assert ids == ["AAA", 'B,"x"']
+    assert back.tobytes() == np.array([values, [-v for v in reversed(values)]]).tobytes()
+    io.write_value_labels(path, [[0, 1, 0], [1, 0, 1]])
+    assert path.read_bytes() == b"series_id,t_1,t_2,t_3\n0,0,1,0\n1,1,0,1\n"
+
+
+def test_write_panel_refuses_line_breaks_in_ids_and_empty_rows(tmp_path):
+    path = tmp_path / "panel.csv"
+    for sid in ("a\nb", "a\rb"):
+        with pytest.raises(ValueError, match="line break"):
+            io.write_panel(path, np.ones((1, 2)), series_ids=[sid])
+    assert not path.exists()
+    with pytest.raises(ValueError, match="at least one column"):
+        io.write_panel(path, np.ones((2, 0)))
+
+
 def test_value_labels_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     labels = np.array([[0, 1, 0], [1, 0, 0]])
@@ -102,6 +136,165 @@ def test_read_value_labels_rejects_fractions(tmp_path):
     path.write_text("series_id,t_1\n0,0.5\n")
     with pytest.raises(ValueError, match="integers"):
         io.read_value_labels(path)
+    for cell in ("2", "-1"):
+        path.write_text(f"series_id,t_1,t_2\n0,0,{cell}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: value labels must be 0 or 1")):
+            io.read_value_labels(path)
+
+
+# -- panel reader against the csv.reader loop it replaced --------------------
+
+
+def _reference_read_panel(path):
+    """The csv.reader/float read_panel that the loadtxt kernel replaced."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows or rows[0][:1] != ["series_id"]:
+        raise ValueError("no series_id header")
+    T = len(rows[0]) - 1
+    if rows[0][1:] != [f"t_{j}" for j in range(1, T + 1)]:
+        raise ValueError("header columns")
+    series_ids, prices = [], []
+    for row in rows[1:]:
+        if len(row) != T + 1:
+            raise ValueError("row length")
+        series_ids.append(row[0])
+        prices.append([float(v) for v in row[1:]])
+    if not prices:
+        raise ValueError("no series")
+    prices = np.asarray(prices, dtype=float)
+    if not np.all(np.isfinite(prices)):
+        raise ValueError("non-finite")
+    return series_ids, prices
+
+
+_FINITE_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(
+    lambda v: format(v, ".17g")) | st.sampled_from(["0", "-0.0", "1e-400", "5e-324", "+7", ".5"])
+_AWKWARD_CELLS = st.sampled_from([
+    "nan", "inf", "-inf", "Infinity", "1e400", "1_000", " 2.5", "3.5 ", " ", "", '"4.5"',
+    '"1,5"', "x", "0x10", "1e", "\u00a01", "\u0661", "1\x002", "\x0c1", "2\x85", "3\u2028",
+    "1\udcc3"])  # lone surrogates become stray non-UTF-8 bytes in the file
+_WELL_FORMED_IDS = st.sampled_from(["0", "AAA", "", " 7", "#1", "\u00e9", '"a,b"', '"q""x"',
+                                    '""'])
+_AWKWARD_IDS = st.sampled_from(['"open', 'a"b', '"x"y', '"x"12', '"a"",b', "\udcff", "A\udc80"])
+_HEADERS = st.sampled_from(["missing", "renamed", "gap", "padded", "quoted", "bom", "stray"])
+
+
+def _header(kind, T):
+    columns = [f"t_{j}" for j in range(1, T + 1)]
+    return {"ok": ["series_id"] + columns, "missing": [], "renamed": ["stock"] + columns,
+            "gap": ["series_id"] + columns[:-1] + [f"t_{T + 1}"],
+            "padded": ["series_id"] + columns[:-1] + [columns[-1] + " "],
+            "quoted": ['"series_id"'] + columns,
+            "bom": ["\ufeffseries_id"] + columns,
+            "stray": ["series_id\udcff"] + columns}[kind]
+
+
+@st.composite
+def _panel_files(draw, awkward=True):
+    """Small panel CSVs as bytes; with `awkward`, each file has at most one kind of damage."""
+    damage = draw(st.sampled_from(["none", "header", "width", "cell", "id", "blank"])
+                  if awkward else st.just("none"))
+    T = draw(st.integers(1, 4))
+    rows = [[draw(_WELL_FORMED_IDS)] + [draw(_FINITE_CELLS) for _ in range(T)]
+            for _ in range(draw(st.integers(0 if awkward else 1, 4)))]
+    if rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if damage == "width" and draw(st.booleans()):
+            row.append(draw(_FINITE_CELLS))
+        elif damage == "width":
+            row.pop()
+        elif damage == "cell":
+            row[draw(st.integers(1, T))] = draw(_AWKWARD_CELLS)
+        elif damage == "id":
+            row[0] = draw(_AWKWARD_IDS)
+    lines = [",".join(_header(draw(_HEADERS) if damage == "header" else "ok", T))]
+    lines += [",".join(row) for row in rows]
+    if damage == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("row, ids", [
+    ('"a,b",1,2', ["a,b"]),
+    ('"say ""hi""",1,2', ['say "hi"']),
+    ('"",1,2', [""]),
+    ('a"b,1,2', ['a"b']),
+    ('"x"12,2', None),  # csv reads id x12 and one value
+    ('"open,1,2', None),
+    ('"a"",b,1,2', None),
+])
+def test_read_panel_quoted_ids(tmp_path, row, ids):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"series_id,t_1,t_2\n{row}\n")
+    if ids is None:
+        with pytest.raises(ValueError):
+            io.read_panel(path)
+    else:
+        assert io.read_panel(path)[0] == ids == _reference_read_panel(path)[0]
+
+
+def _read_or_refuse(path):
+    try:
+        return io.read_panel(path)
+    except ValueError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A 5-column model, clean panel, labels and params; fuzzed panels have 1-4 columns."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(3)
+    io.write_pca_model(root / "pca.txt", pcafeat.fit_pca(rng.normal(size=(20, 5)), k=2))
+    io.write_network(root / "net.txt", scorer.ScoringNetwork(
+        layer_dims=[5, 3, 1], weights=[rng.normal(size=(3, 5)), rng.normal(size=(1, 3))],
+        biases=[np.zeros(3), np.zeros(1)], cutoff=0.0, temperature=0.2))
+    io.write_panel(root / "clean.csv", 100.0 + rng.random((2, 5)))
+    io.write_value_labels(root / "value_labels.csv", np.zeros((2, 5)))
+    (root / "params.csv").write_text("series_id,s0,mu,sigma\n0,100,0.1,0.2\n1,100,0.1,0.2\n")
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_panel_files())
+def test_read_panel_returns_what_the_csv_reader_did_or_refuses(fuzz_dir, raw):
+    path = fuzz_dir / "panel.csv"
+    path.write_bytes(raw)
+    got = _read_or_refuse(path)
+    if got is not None:
+        ids, prices = got
+        want_ids, want = _reference_read_panel(path)
+        assert ids == want_ids
+        assert prices.dtype == np.float64 and prices.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(raw=_panel_files(awkward=False))
+def test_read_panel_reads_every_well_formed_file(fuzz_dir, raw):
+    path = fuzz_dir / "panel.csv"
+    path.write_bytes(raw)
+    ids, prices = io.read_panel(path)
+    want_ids, want = _reference_read_panel(path)
+    assert ids == want_ids and prices.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_panel_files())
+def test_cli_exits_2_3_or_4_on_fuzzed_panels(fuzz_dir, raw):
+    path = fuzz_dir / "panel.csv"
+    path.write_bytes(raw)
+    expected = {2} if _read_or_refuse(path) is None else {3, 4}
+    model = ["--pca", fuzz_dir / "pca.txt", "--net", fuzz_dir / "net.txt"]
+    out = ["--out-dir", fuzz_dir, "--quiet"]
+    commands = (["detect", *out, "--windows", path, *model],
+                ["var", *out, "--clean", fuzz_dir / "clean.csv", "--panel", path,
+                 "--value-labels", fuzz_dir / "value_labels.csv",
+                 "--params", fuzz_dir / "params.csv", *model])
+    for argv in commands:
+        assert cli.main([str(a) for a in argv]) in expected
 
 
 # -- generating parameters and weights -------------------------------------
@@ -128,6 +321,15 @@ def test_read_params_validation(tmp_path):
     path.write_text("series_id,s0,mu,sigma\n")
     with pytest.raises(ValueError, match="no series"):
         io.read_params(path)
+    for row, message in (("0,0,0.1,0.2", "s0 must be positive"),
+                         ("0,-97.5,0.1,0.2", "s0 must be positive"),
+                         ("0,100,0.1,-0.2", "sigma must not be negative")):
+        path.write_text(f"series_id,s0,mu,sigma\n1,100,0.1,0.2\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            io.read_params(path)
+    path.write_text("series_id,s0,mu,sigma\n0,100,-0.1,0\n")
+    s0, mu, sigma = io.read_params(path)
+    assert (s0[0], mu[0], sigma[0]) == (100.0, -0.1, 0.0)
 
 
 def test_weights_round_trip_bit_exact(tmp_path):
@@ -175,6 +377,19 @@ def test_csv_readers_reject_non_finite_values(tmp_path, token):
     path.write_text(f"series_id,weight\n0,0.5\n1,{token}\n")
     with pytest.raises(ValueError, match="non-finite weight"):
         io.read_weights(path)
+
+
+def test_csv_readers_refuse_a_field_past_the_csv_size_limit(tmp_path):
+    path = tmp_path / "file.csv"
+    huge = "1" * 200_000
+    for reader, text in ((io.read_labels, f"row_id,A,L\n0,1,{huge}\n"),
+                         (io.read_params, f"series_id,s0,mu,sigma\n0,1,0.1,{huge}\n"),
+                         (io.read_weights, f"series_id,weight\n0,{huge}\n"),
+                         (io.read_detect_report,
+                          f"row_id,pred_A,score,locations,iterations\n0,1,0.5,{huge},1\n")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="field larger than field limit"):
+            reader(path)
 
 
 # -- window labels ---------------------------------------------------------
