@@ -19,10 +19,23 @@ and per-score derivatives are kernel CDF derivatives. Everything else is
 plain backpropagation. The optimizer is Adam on 16-row minibatches by default
 (full-batch on request); the loss is observed on the full training set at
 every iteration, and the returned parameters are the best-loss snapshot.
+
+In minibatch mode the full-set observations run on observer threads beside
+the Adam steps; the calling thread takes the steps and observes an iterate
+itself whenever it would otherwise wait. An observation reads only its own
+iterate, which the steps never write into, and touches neither the network
+being trained nor the RNG; the results are booked in iteration order. So the
+history, the snapshot and every error are those of a serial run, whatever
+the number of threads or their timing.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
+import functools
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,14 +284,29 @@ def _init_network(p, hidden_dims, rng):
                           cutoff=0.0, temperature=1.0)
 
 
-def _snapshot(net):
+def _iterate(net):
+    """The current parameters by reference; training rebinds its arrays, never writes into them."""
     return ScoringNetwork(
         layer_dims=list(net.layer_dims),
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
+        weights=list(net.weights),
+        biases=list(net.biases),
         cutoff=net.cutoff,
         temperature=net.temperature,
     )
+
+
+def _observe(net, batch, labels, rule):
+    """Loss terms on the full training set, with bandwidths refit on its scores."""
+    scores = forward(net, batch)
+    h_u, h_c = _bandwidths(*_class_split(scores, labels), rule)
+    return _terms_from_scores(scores, labels, net.cutoff, net.temperature, h_u, h_c)
+
+
+def _observer_count():
+    """One observer per usable core, at most 4: past that the serial steps set the pace."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), 4)
+    return min(os.cpu_count() or 1, 4)
 
 
 def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
@@ -291,6 +319,20 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     lowest observed loss, so the log and the snapshot rule are independent of
     the batching. Gradients on a batch use KDE bandwidths refit from that
     batch's scores; a single-class batch falls back to its BCE term alone.
+
+    Where the observation runs: full-batch, the gradient pass doubles as the
+    observation and runs inline. With minibatches there is one observer per
+    usable core, at most 4: a pool of the others plus the calling thread,
+    which takes the Adam steps and, rather than wait for an observation,
+    runs the newest one not yet started. Each iterate goes by reference, at
+    most two per observer ahead of the steps, and each observation runs in a
+    copy of the caller's context, so a numpy errstate set around train holds
+    there too. The observations are booked strictly in iteration order by the
+    serial rule (strict <, the first minimum wins), and the first non-finite
+    one raises FloatingPointError naming its iteration before any error from
+    a later step is re-raised. An observation is a pure function of its
+    iterate, so the history, the snapshot and the errors do not depend on
+    which thread ran it.
 
     Initialization: uniform +-1/sqrt(fan_in) weights; the output layer is then
     rescaled so the initial scores have unit spread (keeps the learned cut-off
@@ -335,7 +377,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     v_s = 0.0
 
     history = []
-    best = _snapshot(net)
+    best = _iterate(net)
     best_loss = np.inf
     best_iteration = 0
     anneal_period = cfg.max_iters // 4
@@ -349,10 +391,10 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     order = np.empty(0, dtype=np.intp)
     cursor = 0
 
-    def _book(iteration, terms):
+    def _book(iteration, terms, iterate):
         nonlocal best, best_loss, best_iteration
         history.append(TrainLogRow(iteration, terms.total, terms.bce,
-                                   terms.auc_u, terms.auc_c, net.cutoff))
+                                   terms.auc_u, terms.auc_c, iterate.cutoff))
         if not np.isfinite(terms.total):
             raise FloatingPointError(
                 f"training diverged at iteration {iteration}: "
@@ -360,19 +402,44 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
                 f"auc_u={terms.auc_u}, auc_c={terms.auc_c}")
         if terms.total < best_loss:
             best_loss = terms.total
-            best = _snapshot(net)
+            best = iterate
             best_iteration = iteration
 
-    def _observe(iteration):
-        """Full-train loss bookkeeping; doubles as the gradient pass when full-batch."""
-        if full_batch:
+    observers = 0 if full_batch else _observer_count()
+    # the calling thread observes too, so one thread arena fewer holds a
+    # full-set pass's temporaries once training is over
+    pool = ThreadPoolExecutor(max_workers=max(observers - 1, 1)) if observers else None
+    pending = collections.deque()  # [iteration, iterate, future, call], oldest first
+
+    def _book_oldest():
+        iteration, iterate, future, _ = pending.popleft()
+        _book(iteration, future.result(), iterate)
+
+    def _observe_newest_unstarted():
+        """Observe here rather than wait; the pool takes the oldest, so the newest is free."""
+        for entry in reversed(pending):
+            if entry[2].cancel():
+                entry[2] = Future()
+                try:
+                    entry[2].set_result(entry[3]())
+                except Exception as exc:  # booked, and raised, in iteration order
+                    entry[2].set_exception(exc)
+                return
+
+    def _observe_current(iteration):
+        """Observe the current iterate; full-batch, also return that pass's gradients."""
+        iterate = _iterate(net)
+        if pool is None:
             terms, grads = _loss_and_grad(net, batch, labels, rule=cfg.bandwidth_rule)
-            _book(iteration, terms)
+            _book(iteration, terms, iterate)
             return grads
-        scores_all = forward(net, batch)
-        h_u, h_c = _bandwidths(*_class_split(scores_all, labels), cfg.bandwidth_rule)
-        _book(iteration, _terms_from_scores(scores_all, labels, net.cutoff,
-                                            net.temperature, h_u, h_c))
+        call = functools.partial(contextvars.copy_context().run, _observe,
+                                 iterate, batch, labels, cfg.bandwidth_rule)
+        pending.append([iteration, iterate, pool.submit(call), call])
+        while len(pending) > 2 * observers:
+            if not pending[0][2].done():
+                _observe_newest_unstarted()
+            _book_oldest()
         return None
 
     def _minibatch_gradients():
@@ -394,13 +461,10 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         return LossGradient(weights=grad_w, biases=grad_b, cutoff=d_cutoff)
 
     lr = cfg.learning_rate
-    for k in range(cfg.max_iters):
-        if k > 0 and anneal_period > 0 and k % anneal_period == 0:
-            net.temperature *= cfg.anneal_factor
-        grads = _observe(k)
-        if grads is None:
-            grads = _minibatch_gradients()
-        t = k + 1
+
+    def _adam_step(t, grads):
+        """Rebinds every parameter array; an iterate handed out earlier keeps its own."""
+        nonlocal m_s, v_s
         correct1 = 1.0 - cfg.beta1**t
         correct2 = 1.0 - cfg.beta2**t
         for layer in range(len(net.weights)):
@@ -415,7 +479,25 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         m_s = cfg.beta1 * m_s + (1.0 - cfg.beta1) * grads.cutoff
         v_s = cfg.beta2 * v_s + (1.0 - cfg.beta2) * grads.cutoff**2
         net.cutoff = net.cutoff - lr * (m_s / correct1) / (np.sqrt(v_s / correct2) + cfg.adam_eps)
-    _observe(cfg.max_iters)  # evaluate the final iterate so the last step can win
+
+    try:
+        for k in range(cfg.max_iters):
+            if k > 0 and anneal_period > 0 and k % anneal_period == 0:
+                net.temperature *= cfg.anneal_factor
+            grads = _observe_current(k)
+            try:
+                _adam_step(k + 1, grads if grads is not None else _minibatch_gradients())
+            except Exception:
+                # a serial run books every observation up to k before step k
+                while pending:
+                    _book_oldest()
+                raise
+        _observe_current(cfg.max_iters)  # evaluate the final iterate so the last step can win
+        while pending:
+            _book_oldest()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     return TrainResult(network=best, history=history, best_iteration=best_iteration)
 
 

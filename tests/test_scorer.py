@@ -1,5 +1,7 @@
 """Network scorer: forward pass, exact loss gradients, training, naive baseline."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
@@ -10,6 +12,19 @@ from panelscan import density, scorer
 SYMMETRIC_LOSS = 1.6931471805599453
 # d loss / d W for that case with inputs -1/+1: -(2 * (0.25 + phi(0)))
 SYMMETRIC_W_GRAD = -1.2978845608028654
+# full-batch training of _separable_set(seed=21, n=24) as the serial loop
+# recorded it: (loss, cut-off) per iteration
+FULL_BATCH_HISTORY = (
+    (0.32559200571260866, -8.209836158354168),
+    (0.32012103612672477, -8.20883615896977),
+    (0.1349766871282857, -8.207844625646624),
+    (0.1303369076264606, -8.206846893796742),
+    (0.02236222357934157, -8.205870623950121),
+    (0.021091011111688984, -8.205219750054678),
+    (0.0008750025184161278, -8.204857623654004),
+    (0.0008092450738684092, -8.204607432428366),
+    (0.000751744208697695, -8.20444765500871),
+)
 
 
 def _toy_net(dims, seed, cutoff=0.1, temperature=0.7):
@@ -275,8 +290,87 @@ def test_training_validation_and_divergence_guard():
             scorer.train(X, A, scorer.TrainConfig(learning_rate=lr))
     X_bad = X.copy()
     X_bad[0, 0] = np.nan
-    with pytest.raises(FloatingPointError, match="diverged"):
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="diverged at iteration 0"):
         scorer.train(X_bad, A, scorer.TrainConfig(hidden_dims=(4,), max_iters=2, seed=0))
+    with pytest.raises(FloatingPointError, match="diverged at iteration 0"):
+        scorer.train(X_bad, A, scorer.TrainConfig(hidden_dims=(4,), max_iters=40, seed=0))
+    assert threading.active_count() == threads
+
+
+def test_training_books_earlier_observations_before_a_step_error(monkeypatch):
+    # the third step fails while observations 0..2 may still be in flight
+    X, A = _separable_set(seed=17, n=20)
+    forward_cached = scorer._forward_cached
+    calls = []
+
+    def failing_step(net, rows):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("step failed")
+        return forward_cached(net, rows)
+
+    monkeypatch.setattr(scorer, "_forward_cached", failing_step)
+    threads = threading.active_count()
+    cfg = scorer.TrainConfig(hidden_dims=(4,), max_iters=40, seed=0)
+    with pytest.raises(RuntimeError, match="step failed"):
+        scorer.train(X, A, cfg)
+    X_bad = X.copy()
+    X_bad[0, 0] = np.nan
+    calls.clear()
+    # a serial run books the non-finite observation 0 before step 2 can fail
+    with pytest.raises(FloatingPointError, match="diverged at iteration 0"):
+        scorer.train(X_bad, A, cfg)
+    assert threading.active_count() == threads
+
+
+def test_training_history_row_matches_its_iterate_across_the_lookahead():
+    X, A = _toy_batch(6, 61, seed=12)
+    lookahead = 2 * scorer._observer_count()
+
+    def run(iters):
+        cfg = scorer.TrainConfig(hidden_dims=(8, 4), max_iters=iters, seed=5, anneal_factor=1.0)
+        return scorer.train(X, A, cfg)
+
+    full = run(40)
+    assert len(full.history) == 41
+    for k in sorted({1, lookahead - 1, lookahead, lookahead + 1, 40}):
+        assert full.history[k] == run(k).history[-1]
+
+
+def test_full_batch_training_history_is_unchanged():
+    X, A = _separable_set(seed=21, n=24)
+    cfg = scorer.TrainConfig(hidden_dims=(4,), max_iters=8, batch_size=None, seed=6,
+                             temperature=1.0, anneal_factor=0.5)
+    result = scorer.train(X, A, cfg)
+    assert [row.iteration for row in result.history] == list(range(9))
+    # rel 1e-12 leaves room for other BLAS kernels; a wrong iterate is off by far more
+    for row, (loss, cutoff) in zip(result.history, FULL_BATCH_HISTORY):
+        assert row.loss == pytest.approx(loss, rel=1e-12)
+        assert row.cutoff == pytest.approx(cutoff, rel=1e-12)
+    assert result.best_iteration == 8
+    assert result.network.cutoff == pytest.approx(FULL_BATCH_HISTORY[-1][1], rel=1e-12)
+    assert result.network.temperature == 0.125
+
+
+def test_training_observations_run_under_the_callers_errstate(monkeypatch):
+    observe = scorer._observe
+    caller = threading.get_ident()
+    seen = []
+
+    def recording(*args):
+        seen.append((threading.get_ident() == caller, np.geterr()))
+        return observe(*args)
+
+    monkeypatch.setattr(scorer, "_observe", recording)
+    X, A = _separable_set(seed=13, n=20)
+    with np.errstate(all="ignore"):
+        scorer.train(X, A, scorer.TrainConfig(hidden_dims=(4,), max_iters=10, seed=0))
+    assert len(seen) == 11
+    # the pool always runs the oldest observation, so at least one ran off the caller's thread
+    assert not all(on_caller for on_caller, _ in seen)
+    ignore_all = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+    assert all(state == ignore_all for _, state in seen)
 
 
 def test_naive_scores_are_row_norms():
