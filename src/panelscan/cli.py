@@ -363,24 +363,25 @@ def _add_global_flags(parser):
 
 
 def _add_panel_flags(parser):
-    parser.add_argument("--stocks", type=int, default=20, help="number of series")
-    parser.add_argument("--steps", type=int, default=1500, help="observations per series")
-    parser.add_argument("--split-index", type=int, default=1000,
+    study = workflows.PipelineConfig
+    parser.add_argument("--stocks", type=int, default=study.n_stocks, help="number of series")
+    parser.add_argument("--steps", type=int, default=study.n_steps,
+                        help="observations per series")
+    parser.add_argument("--split-index", type=int, default=study.split_index,
                         help="train/test split column")
-    parser.add_argument("--train-anoms", type=int, default=4,
+    parser.add_argument("--train-anoms", type=int, default=study.train_anoms,
                         help="anomalies per train series")
-    parser.add_argument("--test-anoms", type=int, default=2,
+    parser.add_argument("--test-anoms", type=int, default=study.test_anoms,
                         help="anomalies per test series")
-    parser.add_argument("--rho", type=float, default=0.04,
+    parser.add_argument("--rho", type=float, default=study.rho,
                         help="shock amplitude upper bound")
-    parser.add_argument("--correlation", type=float, default=0.5,
+    parser.add_argument("--correlation", type=float, default=study.correlation,
                         help="constant off-diagonal correlation")
-    parser.add_argument("--window-length", type=int, default=206,
+    parser.add_argument("--window-length", type=int, default=study.window_length,
                         help="sliding window length p")
-    parser.add_argument("--r-c", type=float, default=0.16,
+    parser.add_argument("--r-c", type=float, default=study.r_c,
                         help="test-set contamination rate")
-    parser.add_argument("--k", type=int, default=pcafeat.DEFAULT_LATENT_DIM,
-                        help="latent dimension")
+    parser.add_argument("--k", type=int, default=study.latent_dim, help="latent dimension")
 
 
 def _add_model_flags(parser):
@@ -412,19 +413,21 @@ def build_parser():
             cmd_augment)
     p.add_argument("--panel", required=True, help="contaminated panel CSV")
     p.add_argument("--value-labels", required=True, help="value-label matrix CSV")
-    p.add_argument("--split-index", type=int, default=1000,
+    p.add_argument("--split-index", type=int, default=workflows.PipelineConfig.split_index,
                    help="train/test split column; 0 keeps one set")
-    p.add_argument("--window-length", type=int, default=206)
-    p.add_argument("--r-c", type=float, default=0.16)
+    p.add_argument("--window-length", type=int, default=workflows.PipelineConfig.window_length)
+    p.add_argument("--r-c", type=float, default=workflows.PipelineConfig.r_c)
 
     p = sub("fit", "fit the PCA features and train the scoring network", cmd_fit)
     p.add_argument("--windows", required=True, help="training windows CSV")
     p.add_argument("--labels", required=True, help="training labels CSV")
     p.add_argument("--k", type=int, default=pcafeat.DEFAULT_LATENT_DIM)
-    p.add_argument("--hidden", type=_hidden_dims, default=(64, 32),
+    p.add_argument("--hidden", type=_hidden_dims, default=scorer.TrainConfig.hidden_dims,
                    help="comma-separated hidden layer sizes")
-    p.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate")
-    p.add_argument("--iters", type=int, default=2000, help="training iterations")
+    p.add_argument("--lr", type=float, default=scorer.TrainConfig.learning_rate,
+                   help="Adam learning rate")
+    p.add_argument("--iters", type=int, default=scorer.TrainConfig.max_iters,
+                   help="training iterations")
     p.add_argument("--tau", type=float, default=None,
                    help="label-smoothing temperature "
                         f"(default {scorer.TrainConfig.temperature})")
@@ -456,7 +459,7 @@ def build_parser():
     p.add_argument("--h", type=int, default=1, help="horizon in steps")
     p.add_argument("--dt", type=float, default=simgen.DiffusionConfig.dt,
                    help="step size in years (default matches simulate)")
-    p.add_argument("--correlation", type=float, default=0.5)
+    p.add_argument("--correlation", type=float, default=workflows.PipelineConfig.correlation)
     p.add_argument("--method", choices=detector.IMPUTATION_METHODS, default="BF")
 
     p = sub("bench", "multi-seed end-to-end benchmark", cmd_bench)

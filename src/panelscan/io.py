@@ -163,11 +163,8 @@ def read_value_labels(path):
 
 def write_params(path, panel):
     """Per-series generating parameters: series_id,s0,mu,sigma."""
-    with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["series_id", "s0", "mu", "sigma"])
-        for i in range(panel.n_stocks):
-            out.writerow([i, _fmt(panel.s0[i]), _fmt(panel.mu[i]), _fmt(panel.sigma[i])])
+    write_rows(path, ["series_id", "s0", "mu", "sigma"],
+               zip(range(panel.n_stocks), panel.s0, panel.mu, panel.sigma))
 
 
 def read_params(path):
@@ -195,11 +192,7 @@ def write_weights(path, weights, series_ids=None):
     weights = np.asarray(weights, dtype=float)
     if series_ids is None:
         series_ids = range(weights.size)
-    with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["series_id", "weight"])
-        for sid, w in zip(series_ids, weights):
-            out.writerow([sid, _fmt(w)])
+    write_rows(path, ["series_id", "weight"], zip(series_ids, weights))
 
 
 def read_weights(path):
@@ -226,11 +219,9 @@ def write_labels(path, A, L):
     L = np.asarray(L, dtype=np.int64)
     if A.shape != L.shape:
         raise ValueError("A and L must have the same length")
-    with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["row_id", "A", "L"])
-        for row_id, (a, loc) in enumerate(zip(A, L)):
-            out.writerow([row_id, int(a), int(loc) if a else ""])
+    write_rows(path, ["row_id", "A", "L"],
+               ((row_id, int(a), int(loc) if a else "")
+                for row_id, (a, loc) in enumerate(zip(A, L))))
 
 
 def read_labels(path):
@@ -368,12 +359,9 @@ def read_network(path) -> ScoringNetwork:
 
 def write_training_log(path, history):
     """Training log CSV: iter,loss,bce,auc_u,auc_c,s."""
-    with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["iter", "loss", "bce", "auc_u", "auc_c", "s"])
-        for row in history:
-            out.writerow([row.iteration, _fmt(row.loss), _fmt(row.bce),
-                          _fmt(row.auc_u), _fmt(row.auc_c), _fmt(row.cutoff)])
+    write_rows(path, ["iter", "loss", "bce", "auc_u", "auc_c", "s"],
+               ((row.iteration, row.loss, row.bce, row.auc_u, row.auc_c, row.cutoff)
+                for row in history))
 
 
 def write_detect_report(path, reports):
@@ -381,13 +369,10 @@ def write_detect_report(path, reports):
 
     Locations are 1-based window indices joined by ';', empty when none.
     """
-    with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["row_id", "pred_A", "score", "locations", "iterations"])
-        for row_id, report in enumerate(reports):
-            locs = ";".join(str(int(loc)) for loc in report.locations)
-            out.writerow([row_id, report.pred_label, _fmt(report.score),
-                          locs, report.iterations_used])
+    write_rows(path, ["row_id", "pred_A", "score", "locations", "iterations"],
+               ((row_id, report.pred_label, report.score,
+                 ";".join(str(int(loc)) for loc in report.locations), report.iterations_used)
+                for row_id, report in enumerate(reports)))
 
 
 def read_detect_report(path):
@@ -411,7 +396,7 @@ def read_detect_report(path):
 
 
 def write_rows(path, header, rows):
-    """Generic report table (PRC points, robustness sweep, buckets, curves)."""
+    """A CSV table: strings and ints as they are, every other value as a 17-digit float."""
     with _open_write(path) as handle:
         out = _writer(handle)
         out.writerow(list(header))

@@ -20,22 +20,20 @@ plain backpropagation. The optimizer is Adam on 16-row minibatches by default
 (full-batch on request); the loss is observed on the full training set at
 every iteration, and the returned parameters are the best-loss snapshot.
 
-In minibatch mode the full-set observations run on observer threads beside
-the Adam steps; the calling thread takes the steps and observes an iterate
-itself whenever it would otherwise wait. An observation reads only its own
-iterate, which the steps never write into, and touches neither the network
-being trained nor the RNG; the results are booked in iteration order. So the
-history, the snapshot and every error are those of a serial run, whatever
-the number of threads or their timing.
+In minibatch mode a pool of observer threads runs the full-set observations
+while the calling thread takes the Adam steps alone. An observation reads
+only its own iterate, which the steps never write into, and touches neither
+the network being trained nor the RNG; the results are booked in iteration
+order. So the history, the snapshot and every error are those of a serial
+run, whatever the number of threads or their timing.
 """
 
 from __future__ import annotations
 
 import collections
 import contextvars
-import functools
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +42,10 @@ from scipy.special import expit, ndtr
 from . import density
 
 PROB_CLIP = 1e-7
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -63,13 +65,9 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_iters: int = 2000
     batch_size: int | None = 16  # rows per Adam update; None trains full-batch
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     temperature: float = 0.2   # label smoothing scale; initial scores have unit spread
     anneal_factor: float = 1.0  # < 1 shrinks tau every max_iters // 4 iterations
-    bandwidth_rule: object = "silverman"
 
 
 @dataclass
@@ -147,29 +145,27 @@ def forward(net: ScoringNetwork, epsilon):
     return float(scores[0, 0]) if squeeze else scores[:, 0]
 
 
-def smooth_labels(net: ScoringNetwork, scores):
-    """p_hat = logistic((score - s) / tau); hard indicator in the tau -> 0 limit."""
-    if net.temperature <= 0:
-        raise ValueError("temperature must be positive")
-    return expit((np.asarray(scores, dtype=float) - net.cutoff) / net.temperature)
+def _require_both_classes(labels):
+    if not (np.any(labels == 0) and np.any(labels == 1)):
+        raise ValueError("both classes required")
 
 
 def _class_split(scores, A):
-    uncontaminated = scores[A == 0]
-    contaminated = scores[A == 1]
-    if uncontaminated.size == 0 or contaminated.size == 0:
-        raise ValueError("both classes required")
-    return uncontaminated, contaminated
+    _require_both_classes(A)
+    return scores[A == 0], scores[A == 1]
 
 
-def _bandwidths(scores_u, scores_c, rule):
-    if isinstance(rule, str):
-        return density.silverman_bandwidth(scores_u), density.silverman_bandwidth(scores_c)
-    return float(rule), float(rule)
+def _bandwidths(scores_u, scores_c, pinned):
+    """(h_u, h_c): the pinned pair, or refit on the class scores by Silverman's rule."""
+    if pinned is not None:
+        return pinned
+    return density.silverman_bandwidth(scores_u), density.silverman_bandwidth(scores_c)
 
 
-def _terms_from_scores(scores, A, s, tau, h_u, h_c):
+def _terms_from_scores(scores, A, s, tau, bandwidths=None):
+    """The one loss kernel: BCE plus both density terms at the given scores."""
     scores_u, scores_c = _class_split(scores, A)
+    h_u, h_c = _bandwidths(scores_u, scores_c, bandwidths)
     raw = expit((scores - s) / tau)
     p_hat = np.clip(raw, PROB_CLIP, 1.0 - PROB_CLIP)
     bce = -float(np.mean(A * np.log(p_hat) + (1.0 - A) * np.log(1.0 - p_hat)))
@@ -178,31 +174,32 @@ def _terms_from_scores(scores, A, s, tau, h_u, h_c):
     return LossTerms(total=bce + auc_u + auc_c, bce=bce, auc_u=auc_u, auc_c=auc_c)
 
 
-def _bce_score_gradients(scores, A, s, tau):
-    """BCE part of d loss / d score_i and d loss / d s (clipped rows are flat)."""
+def _score_gradients(scores, A, s, tau, bandwidths):
+    """d loss / d score_i and d loss / d s, treating the bandwidths as fixed.
+
+    Clipped rows are flat in the BCE part. A single-class batch has no class
+    pair for the density terms, so it gets the BCE part alone.
+    """
     n = scores.size
     raw = expit((scores - s) / tau)
     unclipped = (raw > PROB_CLIP) & (raw < 1.0 - PROB_CLIP)
     bce_z = np.where(unclipped, (raw - A) / n, 0.0)
-    return bce_z / tau, -float(bce_z.sum()) / tau
-
-
-def _score_gradients(scores, A, s, tau, h_u, h_c):
-    """d loss / d score_i and d loss / d s, treating the bandwidths as fixed."""
-    n = scores.size
-    d_scores, d_cutoff = _bce_score_gradients(scores, A, s, tau)
+    d_scores = bce_z / tau
+    d_cutoff = -float(bce_z.sum()) / tau
 
     mask_u = A == 0
     mask_c = A == 1
-    n_u = int(mask_u.sum())
-    n_c = int(mask_c.sum())
-    z_u = (scores[mask_u] - s) / h_u
-    z_c = (s - scores[mask_c]) / h_c
+    if not (mask_u.any() and mask_c.any()):
+        return d_scores, d_cutoff
+    scores_u, scores_c = scores[mask_u], scores[mask_c]
+    h_u, h_c = _bandwidths(scores_u, scores_c, bandwidths)
+    z_u = (scores_u - s) / h_u
+    z_c = (s - scores_c) / h_c
     phi_u = np.exp(-0.5 * z_u * z_u) / _SQRT_2PI
     phi_c = np.exp(-0.5 * z_c * z_c) / _SQRT_2PI
     auc_scores = np.zeros(n)
-    auc_scores[mask_u] = phi_u / (n_u * h_u)
-    auc_scores[mask_c] = -phi_c / (n_c * h_c)
+    auc_scores[mask_u] = phi_u / (mask_u.sum() * h_u)
+    auc_scores[mask_c] = -phi_c / (mask_c.sum() * h_c)
     d_scores = d_scores + auc_scores
     d_cutoff += -float(phi_u.mean()) / h_u  # -f_u(s)
     d_cutoff += float(phi_c.mean()) / h_c   # +f_c(s)
@@ -221,17 +218,12 @@ def _backprop(net, pre_activations, activations, d_scores):
     return grad_w, grad_b
 
 
-def _loss_and_grad(net, batch, A, bandwidths=None, rule="silverman"):
+def _scores_and_gradients(net, batch, A, bandwidths=None):
+    """A batch's scores and the exact gradients of its loss: the one gradient path."""
     scores, pre_activations, activations = _forward_cached(net, batch)
-    scores_u, scores_c = _class_split(scores, A)
-    if bandwidths is None:
-        h_u, h_c = _bandwidths(scores_u, scores_c, rule)
-    else:
-        h_u, h_c = bandwidths
-    terms = _terms_from_scores(scores, A, net.cutoff, net.temperature, h_u, h_c)
-    d_scores, d_cutoff = _score_gradients(scores, A, net.cutoff, net.temperature, h_u, h_c)
+    d_scores, d_cutoff = _score_gradients(scores, A, net.cutoff, net.temperature, bandwidths)
     grad_w, grad_b = _backprop(net, pre_activations, activations, d_scores)
-    return terms, LossGradient(weights=grad_w, biases=grad_b, cutoff=d_cutoff)
+    return scores, LossGradient(weights=grad_w, biases=grad_b, cutoff=d_cutoff)
 
 
 def _as_batch(net, epsilon, A):
@@ -244,21 +236,21 @@ def _as_batch(net, epsilon, A):
     return batch, labels
 
 
+def _observe(net, batch, labels, bandwidths=None):
+    """Loss terms of net on a batch: the body of loss_terms and of each pool observation."""
+    return _terms_from_scores(forward(net, batch), labels, net.cutoff, net.temperature,
+                              bandwidths)
+
+
 def loss_terms(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> LossTerms:
     """Loss decomposition at the current parameters.
 
     bandwidths pins (h_u, h_c) explicitly; by default they are refit on the
-    current scores with Silverman's rule, exactly as one training iteration
-    sees them.
+    current scores with Silverman's rule, exactly as one training
+    observation sees them.
     """
     batch, labels = _as_batch(net, epsilon_batch, A)
-    scores = forward(net, batch)
-    scores_u, scores_c = _class_split(scores, labels)
-    if bandwidths is None:
-        h_u, h_c = _bandwidths(scores_u, scores_c, "silverman")
-    else:
-        h_u, h_c = bandwidths
-    return _terms_from_scores(scores, labels, net.cutoff, net.temperature, h_u, h_c)
+    return _observe(net, batch, labels, bandwidths)
 
 
 def loss(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> float:
@@ -268,8 +260,8 @@ def loss(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> float:
 def loss_gradient(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> LossGradient:
     """Exact gradients of the loss over weights, biases and the cut-off."""
     batch, labels = _as_batch(net, epsilon_batch, A)
-    _, grads = _loss_and_grad(net, batch, labels, bandwidths=bandwidths)
-    return grads
+    _require_both_classes(labels)
+    return _scores_and_gradients(net, batch, labels, bandwidths)[1]
 
 
 def _init_network(p, hidden_dims, rng):
@@ -295,13 +287,6 @@ def _iterate(net):
     )
 
 
-def _observe(net, batch, labels, rule):
-    """Loss terms on the full training set, with bandwidths refit on its scores."""
-    scores = forward(net, batch)
-    h_u, h_c = _bandwidths(*_class_split(scores, labels), rule)
-    return _terms_from_scores(scores, labels, net.cutoff, net.temperature, h_u, h_c)
-
-
 def _observer_count():
     """One observer per usable core, at most 4: past that the serial steps set the pace."""
     if hasattr(os, "sched_getaffinity"):
@@ -318,21 +303,22 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     every iteration and the returned parameters are the snapshot with the
     lowest observed loss, so the log and the snapshot rule are independent of
     the batching. Gradients on a batch use KDE bandwidths refit from that
-    batch's scores; a single-class batch falls back to its BCE term alone.
+    batch's scores; a single-class batch gets the gradients of its BCE term
+    alone.
 
     Where the observation runs: full-batch, the gradient pass doubles as the
-    observation and runs inline. With minibatches there is one observer per
-    usable core, at most 4: a pool of the others plus the calling thread,
-    which takes the Adam steps and, rather than wait for an observation,
-    runs the newest one not yet started. Each iterate goes by reference, at
-    most two per observer ahead of the steps, and each observation runs in a
+    observation and runs inline. With minibatches a pool of observer threads,
+    one per usable core and at most 4, runs the observations while the
+    calling thread takes the Adam steps alone. Each iterate goes to the pool
+    by reference, and the calling thread waits for the oldest observation
+    once more than two per observer are in flight. Each observation runs in a
     copy of the caller's context, so a numpy errstate set around train holds
     there too. The observations are booked strictly in iteration order by the
     serial rule (strict <, the first minimum wins), and the first non-finite
     one raises FloatingPointError naming its iteration before any error from
     a later step is re-raised. An observation is a pure function of its
     iterate, so the history, the snapshot and the errors do not depend on
-    which thread ran it.
+    which thread ran it or when.
 
     Initialization: uniform +-1/sqrt(fan_in) weights; the output layer is then
     rescaled so the initial scores have unit spread (keeps the learned cut-off
@@ -348,15 +334,20 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
     if not (np.isfinite(cfg.temperature) and cfg.temperature > 0):
         raise ValueError(f"temperature must be finite and > 0, got {cfg.temperature}")
+    if not (np.isfinite(cfg.anneal_factor) and cfg.anneal_factor > 0):
+        raise ValueError(f"anneal_factor must be finite and > 0, got {cfg.anneal_factor}")
+    if any(int(width) < 1 for width in cfg.hidden_dims):
+        raise ValueError(f"hidden widths must be >= 1, got {tuple(cfg.hidden_dims)}")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if cfg.batch_size is not None and int(cfg.batch_size) < 1:
+        raise ValueError("batch_size must be positive")
     # column-major once: every observation below runs forward on the whole set
     batch = np.asfortranarray(np.atleast_2d(np.asarray(epsilon_train, dtype=float)))
     labels = np.asarray(A_train, dtype=float).ravel()
     if labels.size != batch.shape[0]:
         raise ValueError("labels and batch disagree on the number of rows")
-    if not (np.any(labels == 1) and np.any(labels == 0)):
-        raise ValueError("both classes required")
+    _require_both_classes(labels)
 
     rng = np.random.default_rng(cfg.seed)
     net = _init_network(batch.shape[1], cfg.hidden_dims, rng)
@@ -369,13 +360,6 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     net.cutoff = float(np.median(scores))
     net.temperature = float(cfg.temperature)
 
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
-    m_s = 0.0
-    v_s = 0.0
-
     history = []
     best = _iterate(net)
     best_loss = np.inf
@@ -383,11 +367,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     anneal_period = cfg.max_iters // 4
 
     n_rows = batch.shape[0]
-    step = n_rows if cfg.batch_size is None else int(cfg.batch_size)
-    if step < 1:
-        raise ValueError("batch_size must be positive")
-    step = min(step, n_rows)
-    full_batch = step == n_rows
+    step = n_rows if cfg.batch_size is None else min(int(cfg.batch_size), n_rows)
     order = np.empty(0, dtype=np.intp)
     cursor = 0
 
@@ -405,40 +385,25 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
             best = iterate
             best_iteration = iteration
 
-    observers = 0 if full_batch else _observer_count()
-    # the calling thread observes too, so one thread arena fewer holds a
-    # full-set pass's temporaries once training is over
-    pool = ThreadPoolExecutor(max_workers=max(observers - 1, 1)) if observers else None
-    pending = collections.deque()  # [iteration, iterate, future, call], oldest first
+    observers = 0 if step == n_rows else _observer_count()  # full-batch observes inline
+    pool = ThreadPoolExecutor(max_workers=observers) if observers else None
+    pending = collections.deque()  # (iteration, iterate, future), oldest first
 
     def _book_oldest():
-        iteration, iterate, future, _ = pending.popleft()
+        iteration, iterate, future = pending.popleft()
         _book(iteration, future.result(), iterate)
-
-    def _observe_newest_unstarted():
-        """Observe here rather than wait; the pool takes the oldest, so the newest is free."""
-        for entry in reversed(pending):
-            if entry[2].cancel():
-                entry[2] = Future()
-                try:
-                    entry[2].set_result(entry[3]())
-                except Exception as exc:  # booked, and raised, in iteration order
-                    entry[2].set_exception(exc)
-                return
 
     def _observe_current(iteration):
         """Observe the current iterate; full-batch, also return that pass's gradients."""
         iterate = _iterate(net)
         if pool is None:
-            terms, grads = _loss_and_grad(net, batch, labels, rule=cfg.bandwidth_rule)
-            _book(iteration, terms, iterate)
+            scores, grads = _scores_and_gradients(net, batch, labels)
+            _book(iteration, _terms_from_scores(scores, labels, net.cutoff, net.temperature),
+                  iterate)
             return grads
-        call = functools.partial(contextvars.copy_context().run, _observe,
-                                 iterate, batch, labels, cfg.bandwidth_rule)
-        pending.append([iteration, iterate, pool.submit(call), call])
+        future = pool.submit(contextvars.copy_context().run, _observe, iterate, batch, labels)
+        pending.append((iteration, iterate, future))
         while len(pending) > 2 * observers:
-            if not pending[0][2].done():
-                _observe_newest_unstarted()
             _book_oldest()
         return None
 
@@ -449,36 +414,26 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
             cursor = 0
         idx = order[cursor:cursor + step]
         cursor += step
-        rows, row_labels = batch[idx], labels[idx]
-        if 0.0 < row_labels.mean() < 1.0:
-            _, grads = _loss_and_grad(net, rows, row_labels, rule=cfg.bandwidth_rule)
-            return grads
-        # single-class batch: no class pair for the density terms
-        scores_b, pre_acts, acts = _forward_cached(net, rows)
-        d_scores, d_cutoff = _bce_score_gradients(scores_b, row_labels,
-                                                  net.cutoff, net.temperature)
-        grad_w, grad_b = _backprop(net, pre_acts, acts, d_scores)
-        return LossGradient(weights=grad_w, biases=grad_b, cutoff=d_cutoff)
+        return _scores_and_gradients(net, batch[idx], labels[idx])[1]
 
-    lr = cfg.learning_rate
+    # Adam's two moments for each parameter, in the order [W..., b..., s]
+    m = [np.zeros_like(p) for p in (*net.weights, *net.biases, net.cutoff)]
+    v = [np.zeros_like(p) for p in m]
 
     def _adam_step(t, grads):
-        """Rebinds every parameter array; an iterate handed out earlier keeps its own."""
-        nonlocal m_s, v_s
-        correct1 = 1.0 - cfg.beta1**t
-        correct2 = 1.0 - cfg.beta2**t
-        for layer in range(len(net.weights)):
-            m_w[layer] = cfg.beta1 * m_w[layer] + (1.0 - cfg.beta1) * grads.weights[layer]
-            v_w[layer] = cfg.beta2 * v_w[layer] + (1.0 - cfg.beta2) * grads.weights[layer] ** 2
-            net.weights[layer] = net.weights[layer] - lr * (m_w[layer] / correct1) / (
-                np.sqrt(v_w[layer] / correct2) + cfg.adam_eps)
-            m_b[layer] = cfg.beta1 * m_b[layer] + (1.0 - cfg.beta1) * grads.biases[layer]
-            v_b[layer] = cfg.beta2 * v_b[layer] + (1.0 - cfg.beta2) * grads.biases[layer] ** 2
-            net.biases[layer] = net.biases[layer] - lr * (m_b[layer] / correct1) / (
-                np.sqrt(v_b[layer] / correct2) + cfg.adam_eps)
-        m_s = cfg.beta1 * m_s + (1.0 - cfg.beta1) * grads.cutoff
-        v_s = cfg.beta2 * v_s + (1.0 - cfg.beta2) * grads.cutoff**2
-        net.cutoff = net.cutoff - lr * (m_s / correct1) / (np.sqrt(v_s / correct2) + cfg.adam_eps)
+        """Rebinds every parameter; an iterate handed out earlier keeps its own arrays."""
+        correct1 = 1.0 - ADAM_BETA1**t
+        correct2 = 1.0 - ADAM_BETA2**t
+        params = [*net.weights, *net.biases, net.cutoff]
+        for i, g in enumerate([*grads.weights, *grads.biases, grads.cutoff]):
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g ** 2
+            params[i] = params[i] - cfg.learning_rate * (m[i] / correct1) / (
+                np.sqrt(v[i] / correct2) + ADAM_EPS)
+        layers = len(net.weights)
+        net.weights[:] = params[:layers]
+        net.biases[:] = params[layers:-1]
+        net.cutoff = params[-1]
 
     try:
         for k in range(cfg.max_iters):

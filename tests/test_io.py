@@ -615,6 +615,40 @@ def test_write_rows_formats_numbers_only(tmp_path):
     assert float(lines[2].split(",")[2]) == 1.0 / 3.0
 
 
+def test_table_writers_golden_bytes(tmp_path):
+    # bytes written by the per-file csv.writer loops that write_rows replaced
+    panel = simgen.PricePanel(prices=np.ones((3, 2)), s0=np.array([100.0, 1.0 / 3.0, 5e-324]),
+                              mu=np.array([-0.0, 0.1, 1e308]),
+                              sigma=np.array([0.2, 2.2250738585072014e-308, 0.0]), dt=1.0 / 252.0)
+    io.write_params(tmp_path / "params.csv", panel)
+    io.write_weights(tmp_path / "weights.csv", [0.5, -1.0 / 3.0, 1e-5],
+                     series_ids=["AAA", 'B,"x"', 7])
+    io.write_labels(tmp_path / "labels.csv", np.array([1, 0, 1]), np.array([3, 5, 206]))
+    io.write_training_log(tmp_path / "log.csv", [
+        scorer.TrainLogRow(0, 1.5, 0.5, 0.25, 0.75, -0.125),
+        scorer.TrainLogRow(1, 1.0 / 3.0, 0.1, 5e-324, -0.0, np.float64(-6.6))])
+    io.write_detect_report(tmp_path / "detect.csv", [
+        detector.DetectionReport(pred_label=1, score=np.float64(0.875), locations=[3, 41],
+                                 imputed_series=np.zeros(4), iterations_used=2),
+        detector.DetectionReport(pred_label=0, score=-1.0 / 7.0, locations=[],
+                                 imputed_series=np.zeros(4), iterations_used=0)])
+    expected = {
+        "params.csv": b"series_id,s0,mu,sigma\n0,100,-0,0.20000000000000001\n"
+                      b"1,0.33333333333333331,0.10000000000000001,2.2250738585072014e-308\n"
+                      b"2,4.9406564584124654e-324,1e+308,0\n",
+        "weights.csv": b'series_id,weight\nAAA,0.5\n"B,""x""",-0.33333333333333331\n'
+                       b"7,1.0000000000000001e-05\n",
+        "labels.csv": b"row_id,A,L\n0,1,3\n1,0,\n2,1,206\n",
+        "log.csv": b"iter,loss,bce,auc_u,auc_c,s\n0,1.5,0.5,0.25,0.75,-0.125\n"
+                   b"1,0.33333333333333331,0.10000000000000001,4.9406564584124654e-324,-0,"
+                   b"-6.5999999999999996\n",
+        "detect.csv": b"row_id,pred_A,score,locations,iterations\n0,1,0.875,3;41,2\n"
+                      b"1,0,-0.14285714285714285,,0\n",
+    }
+    for name, content in expected.items():
+        assert (tmp_path / name).read_bytes() == content, name
+
+
 def test_json_round_trip_with_numpy_payload(tmp_path):
     path = tmp_path / "report.json"
     payload = {

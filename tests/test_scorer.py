@@ -25,6 +25,36 @@ FULL_BATCH_HISTORY = (
     (0.0008092450738684092, -8.204607432428366),
     (0.000751744208697695, -8.20444765500871),
 )
+# minibatch training of _imbalanced_set() with batch_size=4, where most
+# batches hold one class, as the loop before the merged gradient path
+# recorded it: (loss, cut-off) per iteration
+MINIBATCH_HISTORY = (
+    (3.0675998236711894, -6.638637781288035),
+    (3.0028059767931436, -6.637637781291724),
+    (2.9505776410090356, -6.636639156723269),
+    (2.904272049463919, -6.635669463930015),
+    (2.85597985623399, -6.634693297633828),
+    (2.804885617507684, -6.633710460450592),
+    (2.7548843808433574, -6.632725394113886),
+    (2.7039173824180556, -6.63180064429798),
+    (2.650573726114371, -6.630855039270437),
+    (2.602606563109425, -6.629983165413078),
+    (2.5550423788817422, -6.62907992915352),
+    (2.5085788762820505, -6.628174903532401),
+    (2.462688177768954, -6.627234185569379),
+    (2.4173790206339874, -6.626288508919559),
+    (2.3742892004320093, -6.625477077712147),
+    (2.3345240663753795, -6.624698644546916),
+    (2.2931210182534096, -6.623865867830623),
+    (2.2555325424821895, -6.6230464534811775),
+    (2.217849285006293, -6.622258861504398),
+    (2.1831657530554995, -6.621513480969811),
+    (2.1511241803861703, -6.620790222169331),
+    (2.118134220691018, -6.6200275686802215),
+    (2.0881488255956677, -6.619301372126419),
+    (2.0596477053887803, -6.618586997125449),
+    (2.031542883247888, -6.618026597369139),
+)
 
 
 def _toy_net(dims, seed, cutoff=0.1, temperature=0.7):
@@ -117,6 +147,12 @@ def test_symmetric_case_analytic_loss_and_gradient():
     assert grads.weights[0][0, 0] == pytest.approx(SYMMETRIC_W_GRAD, rel=1e-12)
     assert grads.biases[0][0] == pytest.approx(0.0, abs=1e-15)
     assert grads.cutoff == pytest.approx(0.0, abs=1e-15)
+    # the training steps' BCE-only fallback is not the loss of a single-class batch
+    for one_class in (np.zeros(2), np.ones(2)):
+        with pytest.raises(ValueError, match="both classes required"):
+            scorer.loss_gradient(net, X, one_class, bandwidths=(1.0, 1.0))
+        with pytest.raises(ValueError, match="both classes required"):
+            scorer.loss_terms(net, X, one_class)
 
 
 def _fd_check(net, X, A, bandwidths, step=1e-6):
@@ -166,16 +202,6 @@ def test_gradient_respects_probability_clip():
     assert np.isfinite(grads.cutoff)
 
 
-def test_smooth_labels_logistic_form():
-    net = _toy_net([2, 1], seed=4, cutoff=1.0, temperature=0.5)
-    probs = scorer.smooth_labels(net, np.array([1.0, 2.0, 0.0]))
-    from scipy.special import expit
-    np.testing.assert_allclose(probs, expit(np.array([0.0, 2.0, -2.0])), rtol=1e-14)
-    net.temperature = 0.0
-    with pytest.raises(ValueError):
-        scorer.smooth_labels(net, np.array([1.0]))
-
-
 def _separable_set(seed=0, n=60):
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -184,6 +210,14 @@ def _separable_set(seed=0, n=60):
         rng.normal([1.0, 0.0], 0.1, size=(half, 2)),
     ])
     A = np.concatenate([np.zeros(half), np.ones(half)])
+    return X, A
+
+
+def _imbalanced_set(seed=31):
+    """36 clean rows and 4 contaminated ones."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(0.0, 0.3, size=(36, 3)), rng.normal(0.8, 0.3, size=(4, 3))])
+    A = np.concatenate([np.zeros(36), np.ones(4)])
     return X, A
 
 
@@ -277,6 +311,25 @@ def test_training_rejects_non_positive_temperature():
             scorer.train(X, A, scorer.TrainConfig(max_iters=2, temperature=tau))
 
 
+def test_training_refuses_meaningless_configurations_before_any_work(monkeypatch):
+    X, A = _separable_set(seed=15, n=24)
+
+    def no_work(*args):
+        raise AssertionError("train did work before refusing its configuration")
+
+    monkeypatch.setattr(scorer, "_init_network", no_work)
+    threads = threading.active_count()
+    for factor in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="anneal_factor must be finite and > 0"):
+            scorer.train(X, A, scorer.TrainConfig(anneal_factor=factor))
+    for dims in ((0,), (8, 0), (-3,)):
+        with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+            scorer.train(X, A, scorer.TrainConfig(hidden_dims=dims))
+    with pytest.raises(ValueError, match="batch_size must be positive"):
+        scorer.train(X, A, scorer.TrainConfig(batch_size=0))
+    assert threading.active_count() == threads
+
+
 def test_training_validation_and_divergence_guard():
     X, A = _separable_set(seed=17, n=20)
     with pytest.raises(ValueError):
@@ -353,6 +406,19 @@ def test_full_batch_training_history_is_unchanged():
     assert result.network.temperature == 0.125
 
 
+def test_minibatch_training_history_is_unchanged():
+    X, A = _imbalanced_set()
+    cfg = scorer.TrainConfig(hidden_dims=(5,), max_iters=24, batch_size=4, seed=7)
+    result = scorer.train(X, A, cfg)
+    assert [row.iteration for row in result.history] == list(range(25))
+    # rel 1e-12 leaves room for other BLAS kernels; a wrong iterate is off by far more
+    for row, (loss, cutoff) in zip(result.history, MINIBATCH_HISTORY):
+        assert row.loss == pytest.approx(loss, rel=1e-12)
+        assert row.cutoff == pytest.approx(cutoff, rel=1e-12)
+    assert result.best_iteration == 24
+    assert result.network.cutoff == pytest.approx(MINIBATCH_HISTORY[-1][1], rel=1e-12)
+
+
 def test_training_observations_run_under_the_callers_errstate(monkeypatch):
     observe = scorer._observe
     caller = threading.get_ident()
@@ -367,8 +433,8 @@ def test_training_observations_run_under_the_callers_errstate(monkeypatch):
     with np.errstate(all="ignore"):
         scorer.train(X, A, scorer.TrainConfig(hidden_dims=(4,), max_iters=10, seed=0))
     assert len(seen) == 11
-    # the pool always runs the oldest observation, so at least one ran off the caller's thread
-    assert not all(on_caller for on_caller, _ in seen)
+    # the calling thread only takes the steps; the pool runs every observation
+    assert not any(on_caller for on_caller, _ in seen)
     ignore_all = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
     assert all(state == ignore_all for _, state in seen)
 
