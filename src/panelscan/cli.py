@@ -435,8 +435,9 @@ def build_parser():
     p = sub("detect", "run iterative detection over window rows", cmd_detect)
     p.add_argument("--windows", required=True, help="windows CSV")
     _add_model_flags(p)
-    p.add_argument("--method", choices=detector.IMPUTATION_METHODS, default="BF")
-    p.add_argument("--max-iter", type=int, default=5)
+    p.add_argument("--method", choices=detector.IMPUTATION_METHODS,
+                   default=detector.DEFAULT_METHOD)
+    p.add_argument("--max-iter", type=int, default=detector.DEFAULT_MAX_ITER)
     p.add_argument("--cleaned", help="also write imputed windows to this file name")
 
     p = sub("evaluate", "score a labeled window set against a fitted model",
@@ -455,12 +456,14 @@ def build_parser():
     p.add_argument("--params", required=True, help="generating parameters CSV")
     p.add_argument("--weights", help="portfolio weights CSV (default: equal)")
     _add_model_flags(p)
-    p.add_argument("--alpha", type=float, default=0.99, help="VaR confidence level")
-    p.add_argument("--h", type=int, default=1, help="horizon in steps")
+    p.add_argument("--alpha", type=float, default=workflows.DEFAULT_VAR_ALPHA,
+                   help="VaR confidence level")
+    p.add_argument("--h", type=int, default=workflows.DEFAULT_H_STEPS, help="horizon in steps")
     p.add_argument("--dt", type=float, default=simgen.DiffusionConfig.dt,
                    help="step size in years (default matches simulate)")
     p.add_argument("--correlation", type=float, default=workflows.PipelineConfig.correlation)
-    p.add_argument("--method", choices=detector.IMPUTATION_METHODS, default="BF")
+    p.add_argument("--method", choices=detector.IMPUTATION_METHODS,
+                   default=detector.DEFAULT_METHOD)
 
     p = sub("bench", "multi-seed end-to-end benchmark", cmd_bench)
     _add_panel_flags(p)

@@ -23,6 +23,8 @@ import numpy as np
 from . import pcafeat, scorer
 
 IMPUTATION_METHODS = ("BF", "LI", "PCA_RECON")
+DEFAULT_METHOD = "BF"
+DEFAULT_MAX_ITER = 5  # identify -> localize -> impute rounds per row
 
 
 @dataclass
@@ -98,7 +100,8 @@ def impute(X_row, location, method, pca: pcafeat.PcaModel = None):
     return row
 
 
-def detect_batch(model: DetectionModel, X, method="BF", max_iter=5) -> list[DetectionReport]:
+def detect_batch(model: DetectionModel, X, method=DEFAULT_METHOD,
+                 max_iter=DEFAULT_MAX_ITER) -> list[DetectionReport]:
     """identify -> localize -> impute on every row until it stops identifying.
 
     Each iteration makes one score_rows pass over the rows still flagged, so
@@ -147,6 +150,7 @@ def detect_batch(model: DetectionModel, X, method="BF", max_iter=5) -> list[Dete
     ]
 
 
-def detect_iterative(model: DetectionModel, X_row, method="BF", max_iter=5) -> DetectionReport:
+def detect_iterative(model: DetectionModel, X_row, method=DEFAULT_METHOD,
+                     max_iter=DEFAULT_MAX_ITER) -> DetectionReport:
     """detect_batch on one window row."""
     return detect_batch(model, np.ravel(X_row)[None, :], method=method, max_iter=max_iter)[0]

@@ -3,12 +3,12 @@
 Every file is UTF-8 with LF line endings and `.` as the decimal point.
 Floats are written with 17 significant digits, so write/read round trips
 reproduce the in-memory values bit-exactly. Panel-layout files (panels,
-windows, value labels) go through two kernels: `write_panel` writes each row
-with one %-format string, and `read_panel` parses every value with one
-`np.loadtxt` call. Readers raise ValueError on
-malformed content, including non-finite numbers, and OSError on filesystem
-problems; the CLI maps those to its exit codes. JSON reports write non-finite
-floats as null, never as bare NaN or Infinity.
+windows, value labels) go through two kernels: `write_panel` formats each
+distinct value of a block of rows once and joins the cached strings, and
+`read_panel` parses every value with one `np.loadtxt` call. Readers raise
+ValueError on malformed content, including non-finite numbers, and OSError on
+filesystem problems; the CLI maps those to its exit codes. JSON reports write
+non-finite floats as null, never as bare NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .scorer import ScoringNetwork
 PCA_FORMAT_TAG = "panelscan-pca v1"
 NET_FORMAT_TAG = "panelscan-net v1"
 _FLOAT_FMT = ".17g"
+_PANEL_BLOCK_ROWS = 256  # rows formatted together by write_panel
 
 
 def _fmt(value):
@@ -67,6 +68,8 @@ def _finite(values, path, what):
 
 def _id_cell(sid):
     """A series id as csv.writer writes a row's first field; line breaks are refused."""
+    if isinstance(sid, (int, np.integer)):  # csv.writer writes str(sid), unquoted
+        return str(sid)
     buffer = StringIO()
     csv.writer(buffer, lineterminator="\n").writerow([sid, ""])
     cell = buffer.getvalue()[:-2]
@@ -93,8 +96,11 @@ def _quoted_id(line, path):
 def write_panel(path, prices, series_ids=None, fmt=_FLOAT_FMT):
     """Panel CSV: header series_id,t_1,...,t_T, one row per series.
 
-    Every row is one %-format string applied to `row.tolist()`; `"%.17g" % v`
-    writes the same bytes as `format(v, ".17g")`.
+    Rows go out in blocks of `_PANEL_BLOCK_ROWS`. In each block every distinct
+    bit pattern is formatted once with `"%" + fmt` (`"%.17g" % v` writes the
+    same bytes as `format(v, ".17g")`), and the rows join the cached strings.
+    Overlapping windows repeat most of their neighbours' values, so most cells
+    cost a lookup. Keying on bits keeps -0.0 apart from 0.0.
     """
     prices = np.atleast_2d(np.asarray(prices))
     n, T = prices.shape
@@ -103,11 +109,19 @@ def write_panel(path, prices, series_ids=None, fmt=_FLOAT_FMT):
     if series_ids is None:
         series_ids = range(n)
     cells = [_id_cell(sid) for sid, _ in zip(series_ids, range(n))]
-    row_format = "%s," + ",".join(["%" + fmt] * T) + "\n"
+    spec = "%" + fmt
+    bits = f"u{prices.dtype.itemsize}"
     with _open_write(path) as handle:
         _writer(handle).writerow(["series_id"] + [f"t_{j}" for j in range(1, T + 1)])
-        for cell, row in zip(cells, prices):
-            handle.write(row_format % (cell, *row.tolist()))
+        for start in range(0, len(cells), _PANEL_BLOCK_ROWS):
+            stop = start + _PANEL_BLOCK_ROWS
+            block = np.ascontiguousarray(prices[start:stop])
+            distinct, inverse = np.unique(block.view(bits), return_inverse=True)
+            text = np.array([spec % v for v in distinct.view(prices.dtype).tolist()],
+                            dtype=object)
+            rows = text[inverse.reshape(block.shape)].tolist()
+            handle.write("".join(cell + "," + ",".join(row) + "\n"
+                                 for cell, row in zip(cells[start:stop], rows)))
 
 
 def read_panel(path):

@@ -76,10 +76,12 @@ def theoretical_return_model(mu, sigma, correlation, dt, h_steps=1) -> ReturnMod
     """Return model implied by the generating GBM parameters."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
+    h = int(h_steps)
+    if h < 1:
+        raise ValueError(f"h_steps must be >= 1, got {h}")
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     mat = simgen.correlation_matrix(correlation, mu.size)
-    h = int(h_steps)
     mean = (mu - 0.5 * sigma**2) * dt * h
     cov = np.outer(sigma, sigma) * mat * dt * h
     return ReturnModel(mu=mean, sigma=cov, horizon=h)

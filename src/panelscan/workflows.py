@@ -20,6 +20,9 @@ import numpy as np
 
 from . import density, detector, evaluation, pcafeat, riskmetrics, scorer, simgen
 
+DEFAULT_VAR_ALPHA = 0.99  # VaR confidence level
+DEFAULT_H_STEPS = 1  # return horizon in steps
+
 # Stable role tags for sub-stream derivation; values are arbitrary but frozen.
 _ROLES = {
     "contaminate_train": 11,
@@ -246,8 +249,8 @@ def _cover_offsets(n_steps, p, stride):
     return offsets
 
 
-def detect_panel(model: detector.DetectionModel, prices, method="BF", max_iter=5,
-                 stride=None, min_votes=2):
+def detect_panel(model: detector.DetectionModel, prices, method=detector.DEFAULT_METHOD,
+                 max_iter=detector.DEFAULT_MAX_ITER, stride=None, min_votes=2):
     """Flag absolute anomaly stamps by consensus over overlapping windows.
 
     Windows advance by stride (default p // 2, giving interior stamps two
@@ -284,7 +287,8 @@ def detect_panel(model: detector.DetectionModel, prices, method="BF", max_iter=5
     return (votes >= required[None, :]).astype(np.int64)
 
 
-def impute_panel(prices, stamp_labels, method="BF", pca: pcafeat.PcaModel = None):
+def impute_panel(prices, stamp_labels, method=detector.DEFAULT_METHOD,
+                 pca: pcafeat.PcaModel = None):
     """Impute flagged stamps series-wise, ascending in time.
 
     BF and LI read neighbors from the progressively imputed series (the next
@@ -327,7 +331,7 @@ def _fresh_panel(result: PipelineResult, study, run_index, n_anom):
 
 
 def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, h_steps,
-                  portfolio: riskmetrics.Portfolio, alpha, method="BF"):
+                  portfolio: riskmetrics.Portfolio, alpha, method=detector.DEFAULT_METHOD):
     """The five portfolio VaR estimates and each variant's error against theo.
 
     theo comes from the generating (mu, sigma, correlation, dt); the other
@@ -351,8 +355,8 @@ def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, 
     return estimates, errors
 
 
-def var_run(result: PipelineResult, run_index, n_anom=4, alpha=0.99, h_steps=1,
-            weights=None, method="BF") -> dict:
+def var_run(result: PipelineResult, run_index, n_anom=4, alpha=DEFAULT_VAR_ALPHA,
+            h_steps=DEFAULT_H_STEPS, weights=None, method=detector.DEFAULT_METHOD) -> dict:
     """One VaR comparison run on a fresh panel with the calibrated parameters.
 
     Diffuses new paths with the same per-stock (s0, mu, sigma) the detector was
@@ -379,15 +383,16 @@ def var_run(result: PipelineResult, run_index, n_anom=4, alpha=0.99, h_steps=1,
     return out
 
 
-def var_experiment(result: PipelineResult, n_anom=4, n_runs=50, alpha=0.99,
-                   h_steps=1, weights=None, method="BF") -> evaluation.MultirunResult:
+def var_experiment(result: PipelineResult, n_anom=4, n_runs=50, alpha=DEFAULT_VAR_ALPHA,
+                   h_steps=DEFAULT_H_STEPS, weights=None,
+                   method=detector.DEFAULT_METHOD) -> evaluation.MultirunResult:
     """Mean/std of the five VaR figures and their errors over fresh panels."""
     runner = partial(var_run, result, n_anom=n_anom, alpha=alpha, h_steps=h_steps,
                      weights=weights, method=method)
     return evaluation.multirun(runner, seeds=range(n_runs))
 
 
-def imputation_run(result: PipelineResult, run_index, n_anom=4, h_steps=1) -> dict:
+def imputation_run(result: PipelineResult, run_index, n_anom=4, h_steps=DEFAULT_H_STEPS) -> dict:
     """One imputation-quality run: impute at the true stamps, compare errors.
 
     Judges the imputation values themselves, so the true anomaly locations are
@@ -414,7 +419,7 @@ def imputation_run(result: PipelineResult, run_index, n_anom=4, h_steps=1) -> di
 
 
 def imputation_experiment(result: PipelineResult, n_anom=4, n_runs=100,
-                          h_steps=1) -> evaluation.MultirunResult:
+                          h_steps=DEFAULT_H_STEPS) -> evaluation.MultirunResult:
     """Mean/std imputation and covariance errors over fresh contaminated panels."""
     runner = partial(imputation_run, result, n_anom=n_anom, h_steps=h_steps)
     return evaluation.multirun(runner, seeds=range(n_runs))

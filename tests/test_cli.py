@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, byte-level reproducibility, report shapes."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelscan import cli, evaluation, io, scorer, simgen, workflows
+from panelscan import cli, detector, evaluation, io, scorer, simgen, workflows
 
 # small panel that still leaves every split with both window classes
 SIM_FLAGS = ["--stocks", "6", "--steps", "380", "--split-index", "220",
@@ -385,6 +386,16 @@ def test_var_refuses_a_step_size_that_is_not_positive(workdir, tmp_path, capsys,
     assert not (tmp_path / "var_report.json").exists()
 
 
+@pytest.mark.parametrize("h", ["-3", "0"])
+def test_var_refuses_a_horizon_below_one_step(workdir, tmp_path, capsys, h):
+    assert _run(*_var_flags(workdir, tmp_path), "--panel", workdir / "contaminated_panel.csv",
+                "--h", h) == 3
+    err = capsys.readouterr().err
+    assert f"h_steps must be >= 1, got {h}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "var_report.json").exists()
+
+
 def test_var_weights_row_without_two_fields_exits_2(workdir, tmp_path, capsys):
     weights = tmp_path / "weights.csv"
     weights.write_text("series_id,weight\n0,0.5\n1\n2,0.5\n")
@@ -451,6 +462,20 @@ def test_config_bad_value_exits_2(tmp_path):
     config.write_text("just a line\n")
     assert _run("simulate", "--config", config, "--out-dir", tmp_path,
                 "--quiet", *SIM_FLAGS) == 2
+
+
+@pytest.mark.parametrize("command, dest, function, keyword", [
+    ("detect", "max_iter", detector.detect_batch, "max_iter"),
+    ("detect", "method", detector.detect_batch, "method"),
+    ("var", "method", workflows.detect_panel, "method"),
+    ("var", "method", workflows.var_estimates, "method"),
+    ("var", "alpha", workflows.var_run, "alpha"),
+    ("var", "h", workflows.var_run, "h_steps"),
+])
+def test_parser_defaults_are_the_library_defaults(command, dest, function, keyword):
+    _, parsers = cli.build_parser()
+    library = inspect.signature(function).parameters[keyword].default
+    assert parsers[command].get_default(dest) == library
 
 
 def test_no_command_prints_help_and_exits_2(capsys):

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -110,6 +111,73 @@ def test_write_panel_golden_bytes(tmp_path):
     assert back.tobytes() == np.array([values, [-v for v in reversed(values)]]).tobytes()
     io.write_value_labels(path, [[0, 1, 0], [1, 0, 1]])
     assert path.read_bytes() == b"series_id,t_1,t_2,t_3\n0,0,1,0\n1,1,0,1\n"
+    io.write_panel(path, [[1.5, -0.0], [2.0, 1e-300], [0.25, 3.0]],
+                   series_ids=[np.int64(-7), True, np.uint8(3)])
+    assert path.read_bytes() == b"series_id,t_1,t_2\n-7,1.5,-0\nTrue,2,1e-300\n3,0.25,3\n"
+
+
+# float64 bit patterns the writer must keep apart although some compare equal
+# (signed zeros) or never compare equal (NaNs with distinct payloads)
+_SPECIAL_BITS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                          1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0]
+                         ).view(np.uint64).tolist() + [
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000BEEF00]
+_BLOCK_EDGE_ROWS = st.sampled_from([io._PANEL_BLOCK_ROWS - 1, io._PANEL_BLOCK_ROWS,
+                                    io._PANEL_BLOCK_ROWS + 1, 1, 3])
+_PANEL_IDS = ["0", "AAA", 'B,"x"', 'q"', " 7", "", "\u00e9", np.int64(-3), True, 12]
+
+
+def _reference_panel_bytes(values, ids, spec):
+    # the per-value writer: csv.writer rows of format(v, spec) cells
+    buffer = StringIO()
+    out = csv.writer(buffer, lineterminator="\n")
+    out.writerow(["series_id"] + [f"t_{j}" for j in range(1, values.shape[1] + 1)])
+    out.writerows([sid] + [format(v, spec) for v in row] for sid, row in zip(ids, values.tolist()))
+    return buffer.getvalue().encode("utf-8")
+
+
+@st.composite
+def _pooled_panels(draw, values, dtype):
+    """(panel, ids): a block-edge row count of cells drawn from a small pool."""
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=8)), dtype=dtype)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(_BLOCK_EDGE_ROWS), draw(st.integers(1, 5)))
+    ids = [_PANEL_IDS[i] for i in rng.integers(0, len(_PANEL_IDS), shape[0])]
+    return pool[rng.integers(0, pool.size, shape)], ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_pooled_panels(st.sampled_from(_SPECIAL_BITS) | st.integers(0, 2**64 - 1),
+                            np.uint64))
+def test_write_panel_matches_the_per_value_writer_on_repeated_floats(tmp_path_factory, drawn):
+    bits, ids = drawn
+    prices = bits.view(np.float64)
+    path = tmp_path_factory.mktemp("pooled") / "panel.csv"
+    io.write_panel(path, prices, series_ids=ids)
+    assert path.read_bytes() == _reference_panel_bytes(prices, ids, ".17g")
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=_pooled_panels(st.sampled_from([0, 1]) | st.integers(-2**63, 2**63 - 1),
+                            np.int64))
+def test_write_panel_matches_the_per_value_writer_on_int_labels(tmp_path_factory, drawn):
+    labels, ids = drawn
+    path = tmp_path_factory.mktemp("pooled") / "labels.csv"
+    io.write_value_labels(path, labels, series_ids=ids)
+    assert path.read_bytes() == _reference_panel_bytes(labels, ids, "d")
+
+
+def test_sliding_windows_round_trip_bit_exact(tmp_path):
+    # overlapping windows repeat their neighbours' values across block edges
+    prices = _rng_matrix((3, 300), 11)
+    prices[1, 40:43] = [-0.0, 0.0, 5e-324]
+    windows, _, _ = simgen.slide(prices, np.zeros(prices.shape, dtype=int), 20)
+    path = tmp_path / "windows.csv"
+    io.write_panel(path, windows)
+    assert path.read_bytes() == _reference_panel_bytes(windows, range(len(windows)), ".17g")
+    ids, back = io.read_panel(path)
+    assert ids == [str(i) for i in range(len(windows))]
+    assert back.tobytes() == windows.tobytes()
 
 
 def test_write_panel_refuses_line_breaks_in_ids_and_empty_rows(tmp_path):

@@ -182,6 +182,9 @@ def test_theoretical_return_model_from_gbm_parameters():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             riskmetrics.theoretical_return_model(mu, sigma, 0.5, bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"h_steps must be >= 1, got {bad}"):
+            riskmetrics.theoretical_return_model(mu, sigma, 0.5, dt, h_steps=bad)
 
 
 def test_var_errors_zero_and_scale_invariance():
