@@ -53,8 +53,8 @@ from .simgen import (
     DiffusionConfig,
     LabeledPanel,
     PricePanel,
+    build_labeled_panel,
     contaminate,
-    label,
     select,
     simulate_gbm,
     slide,

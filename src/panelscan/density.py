@@ -4,6 +4,9 @@ The Gaussian kernel makes every quantity the training loop needs available in
 closed form: the density is a mean of kernels, the tail masses are means of
 kernel CDFs, so the AUC terms and their derivatives are exact rather than
 quadratures.
+
+Grid evaluations run over fixed blocks of points, so a 1024-point cut-off
+search over n samples holds a few 64 x n temporaries, never 1024 x n.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from scipy.special import ndtr
 BANDWIDTH_FLOOR = 1e-6
 DEFAULT_ETA = 1e-3
 DEFAULT_GRID = 1024
+_GRID_BLOCK = 64  # grid points evaluated together by pdf, auc_above and auc_below
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -68,32 +72,42 @@ def fit_kde(samples, bandwidth_rule="silverman") -> KdeModel:
     return KdeModel(samples=samples.copy(), bandwidth=bandwidth)
 
 
+def _on_grid(x, row_values):
+    """row_values(block[:, None]) over the points of x, _GRID_BLOCK at a time.
+
+    Each point's value is its own reduction over the samples, so the blocks
+    change no bit; they cap the points x samples temporaries at
+    _GRID_BLOCK x n. A scalar x gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    grid = np.atleast_1d(x)
+    values = np.empty(grid.shape)
+    for start in range(0, len(grid), _GRID_BLOCK):
+        values[start:start + _GRID_BLOCK] = row_values(grid[start:start + _GRID_BLOCK, None])
+    return float(values[0]) if x.ndim == 0 else values
+
+
 def pdf(model: KdeModel, x):
     """Evaluate the density estimate anywhere on the real line."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 0
-    grid = np.atleast_1d(x)
-    z = (grid[:, None] - model.samples[None, :]) / model.bandwidth
-    values = np.exp(-0.5 * z * z).sum(axis=1) / (model.samples.size * model.bandwidth * _SQRT_2PI)
-    return float(values[0]) if squeeze else values
+    scale = model.samples.size * model.bandwidth * _SQRT_2PI
+
+    def row_values(points):
+        z = (points - model.samples[None, :]) / model.bandwidth
+        return np.exp(-0.5 * z * z).sum(axis=1) / scale
+
+    return _on_grid(x, row_values)
 
 
 def auc_above(model: KdeModel, s):
     """Mass of the estimated density above s, via the kernel tail function."""
-    s = np.asarray(s, dtype=float)
-    squeeze = s.ndim == 0
-    grid = np.atleast_1d(s)
-    masses = ndtr((model.samples[None, :] - grid[:, None]) / model.bandwidth).mean(axis=1)
-    return float(masses[0]) if squeeze else masses
+    return _on_grid(s, lambda points: ndtr((model.samples[None, :] - points)
+                                           / model.bandwidth).mean(axis=1))
 
 
 def auc_below(model: KdeModel, s):
     """Mass of the estimated density below s."""
-    s = np.asarray(s, dtype=float)
-    squeeze = s.ndim == 0
-    grid = np.atleast_1d(s)
-    masses = ndtr((grid[:, None] - model.samples[None, :]) / model.bandwidth).mean(axis=1)
-    return float(masses[0]) if squeeze else masses
+    return _on_grid(s, lambda points: ndtr((points - model.samples[None, :])
+                                           / model.bandwidth).mean(axis=1))
 
 
 def intersection_cutoff(f_u: KdeModel, f_c: KdeModel, eta=DEFAULT_ETA, grid=DEFAULT_GRID) -> CutoffResult:

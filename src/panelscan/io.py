@@ -5,15 +5,18 @@ Floats are written with 17 significant digits, so write/read round trips
 reproduce the in-memory values bit-exactly. Panel-layout files (panels,
 windows, value labels) go through two kernels: `write_panel` formats each
 distinct value of a block of rows once and joins the cached strings, and
-`read_panel` parses every value with one `np.loadtxt` call. Readers raise
-ValueError on malformed content, including non-finite numbers, and OSError on
-filesystem problems; the CLI maps those to its exit codes. JSON reports write
-non-finite floats as null, never as bare NaN or Infinity.
+`read_panel` parses every value with one `np.loadtxt` call fed row by row
+from the open file, so a panel read holds one line besides its n x T float
+array. Readers raise ValueError on malformed content, including non-finite
+numbers, and OSError on filesystem problems; the CLI maps those to its exit
+codes. JSON reports write non-finite floats as null, never as bare NaN or
+Infinity.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from io import StringIO
@@ -78,19 +81,40 @@ def _id_cell(sid):
     return cell
 
 
+class _RowError(Exception):
+    """A bad panel row id or field count, found while np.loadtxt pulls rows.
+
+    Not a ValueError, so it stays apart from loadtxt's "malformed price" errors."""
+
+
 def _quoted_id(line, path):
     """Split a row whose first field is csv-quoted into (id, the rest after its comma)."""
     end = 1
     while True:
         end = line.find('"', end)
         if end < 0:
-            raise ValueError(f"{path}: unterminated quoted series id in {line[:40]!r}")
+            raise _RowError(f"{path}: unterminated quoted series id in {line[:40]!r}")
         if not line.startswith('""', end):
             break
         end += 2
     if not line.startswith(",", end + 1):
-        raise ValueError(f"{path}: quoted series id must be followed by ',' in {line[:40]!r}")
+        raise _RowError(f"{path}: quoted series id must be followed by ',' in {line[:40]!r}")
     return line[1:end].replace('""', '"'), line[end + 2:]
+
+
+def _price_rows(lines, T, series_ids, path):
+    """Yield each row for np.loadtxt, its id appended to series_ids and its field count checked."""
+    for line in lines:
+        if line.startswith('"'):
+            sid, rest = _quoted_id(line, path)
+            line = "," + rest
+        else:
+            comma = line.find(",")
+            sid = line.rstrip("\n") if comma < 0 else line[:comma]
+        if line.count(",") != T:
+            raise _RowError(f"{path}: row {[sid]} has {line.count(',')} values, expected {T}")
+        series_ids.append(sid)
+        yield line
 
 
 def write_panel(path, prices, series_ids=None, fmt=_FLOAT_FMT):
@@ -129,34 +153,30 @@ def read_panel(path):
 
     Ids are each row's first field; a csv-quoted id is unquoted. The values
     are parsed by one `np.loadtxt` call, which reads what `float` reads except
-    underscores, non-ASCII digits and quoted cells; those are refused.
+    underscores, non-ASCII digits and quoted cells; those are refused. Rows
+    stream from the open file into loadtxt through a generator that checks
+    each row's id and field count as it passes, so the reader holds one line
+    besides the n x T result array.
     """
+    series_ids = []
     with open(path, encoding="utf-8") as handle:  # universal newlines: \r\n and \r end rows
         header = handle.readline().rstrip("\n").split(",")
-        lines = handle.readlines()
-    if header[0] != "series_id":
-        raise ValueError(f"{path}: expected a panel CSV with a series_id header")
-    T = len(header) - 1
-    if T == 0 or header[1:] != [f"t_{j}" for j in range(1, T + 1)]:
-        raise ValueError(f"{path}: panel header columns must be t_1..t_{T}")
-    if not lines:
-        raise ValueError(f"{path}: panel has no series")
-    series_ids = []
-    for index, line in enumerate(lines):
-        if line.startswith('"'):
-            sid, rest = _quoted_id(line, path)
-            line = lines[index] = "," + rest
-        else:
-            comma = line.find(",")
-            sid = line.rstrip("\n") if comma < 0 else line[:comma]
-        if line.count(",") != T:
-            raise ValueError(f"{path}: row {[sid]} has {line.count(',')} values, expected {T}")
-        series_ids.append(sid)
-    try:
-        prices = np.loadtxt(lines, delimiter=",", usecols=range(1, T + 1), ndmin=2,
-                            dtype=float, comments=None)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed price: {exc}") from exc
+        if header[0] != "series_id":
+            raise ValueError(f"{path}: expected a panel CSV with a series_id header")
+        T = len(header) - 1
+        if T == 0 or header[1:] != [f"t_{j}" for j in range(1, T + 1)]:
+            raise ValueError(f"{path}: panel header columns must be t_1..t_{T}")
+        first = handle.readline()
+        if not first:
+            raise ValueError(f"{path}: panel has no series")
+        rows = _price_rows(itertools.chain([first], handle), T, series_ids, path)
+        try:
+            prices = np.loadtxt(rows, delimiter=",", usecols=range(1, T + 1), ndmin=2,
+                                dtype=float, comments=None)
+        except _RowError as exc:
+            raise ValueError(str(exc)) from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed price: {exc}") from exc
     return series_ids, _finite(prices, path, "price")
 
 
@@ -243,9 +263,11 @@ def read_labels(path):
     if not rows or rows[0] != ["row_id", "A", "L"]:
         raise ValueError(f"{path}: expected header row_id,A,L")
     A, L = [], []
-    for row in rows[1:]:
+    for row_id, row in enumerate(rows[1:]):
         if len(row) != 3:
             raise ValueError(f"{path}: label row needs 3 fields, got {len(row)}")
+        if row[0] != str(row_id):
+            raise ValueError(f"{path}: row_id {row[0]!r} where {row_id} belongs")
         try:
             a = int(row[1])
             loc = int(row[2]) if row[2] != "" else 0
@@ -312,6 +334,8 @@ def read_pca_model(path) -> PcaModel:
         omega = np.asarray(omega)
     except IndexError as exc:
         raise ValueError(f"{path}: truncated PCA model file") from exc
+    if len(lines) > 6 + k:
+        raise ValueError(f"{path}: unexpected line {lines[6 + k]!r} after the {k} omega rows")
     if omega.shape != (k, p):
         raise ValueError(f"{path}: omega shape {omega.shape} != ({k}, {p})")
     return PcaModel(mean=_finite(mean, path, "mean"), omega=_finite(omega, path, "omega"),
@@ -362,6 +386,8 @@ def read_network(path) -> ScoringNetwork:
             biases.append(_finite(b, path, f"b{layer}"))
     except IndexError as exc:
         raise ValueError(f"{path}: truncated network file") from exc
+    if len(lines) > cursor:
+        raise ValueError(f"{path}: unexpected line {lines[cursor]!r} after b{len(dims) - 1}")
     _finite([tau, s], path, "tau or s")
     if tau <= 0:
         raise ValueError(f"{path}: tau must be positive, got {tau!r}")

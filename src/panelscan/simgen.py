@@ -10,6 +10,11 @@ at stamps drawn without replacement per series, tracked by a value-level label
 matrix Y. Sliding windows of length p turn a panel into a supervised set with a
 window label A (contains an anomaly) and a location label L (1-based index of
 the anomalous value inside the window).
+
+Windowing works on strided views: `build_labeled_panel` counts anomalies per
+window on a view of Y and copies out only the windows `select` keeps, so its
+peak memory stays near the kept rows' n_kept x p floats. `slide` copies every
+window, for callers that want them all.
 """
 
 from __future__ import annotations
@@ -216,21 +221,11 @@ def slide(panel, labels, window_length):
     Returns (X, sY, provenance) where provenance rows are (stock index, window
     offset) with 0-based offsets; each series yields T - p + 1 windows.
     """
-    prices = panel.prices if isinstance(panel, PricePanel) else np.asarray(panel, dtype=float)
-    labels = np.asarray(labels)
-    if labels.shape != prices.shape:
-        raise ValueError("labels shape does not match panel shape")
+    prices, labels, p = _windowable(panel, labels, window_length)
     n_stocks, n_steps = prices.shape
-    p = int(window_length)
-    if p < 1:
-        raise ValueError("window length must be >= 1")
-    if p > n_steps:
-        raise ValueError(f"window length {p} exceeds series length {n_steps}")
     n_windows = n_steps - p + 1
-    windows = np.lib.stride_tricks.sliding_window_view(prices, p, axis=1)
-    window_labels = np.lib.stride_tricks.sliding_window_view(labels, p, axis=1)
-    X = windows.reshape(n_stocks * n_windows, p).copy()
-    sY = window_labels.reshape(n_stocks * n_windows, p).copy()
+    X = _view(prices, p).reshape(n_stocks * n_windows, p).copy()
+    sY = _view(labels, p).reshape(n_stocks * n_windows, p).copy()
     provenance = np.column_stack([
         np.repeat(np.arange(n_stocks), n_windows),
         np.tile(np.arange(n_windows), n_stocks),
@@ -238,20 +233,37 @@ def slide(panel, labels, window_length):
     return X, sY, provenance
 
 
-def select(X, sY, mode, r_c=0.16, seed=0, provenance=None):
-    """Drop multi-anomaly windows and build a balanced or rate-matched set.
+def _windowable(panel, labels, window_length):
+    """(prices, labels, p) once the shapes admit length-p windows; nothing is copied."""
+    prices = panel.prices if isinstance(panel, PricePanel) else np.asarray(panel, dtype=float)
+    labels = np.asarray(labels)
+    if labels.shape != prices.shape:
+        raise ValueError("labels shape does not match panel shape")
+    p = int(window_length)
+    if p < 1:
+        raise ValueError("window length must be >= 1")
+    if p > prices.shape[1]:
+        raise ValueError(f"window length {p} exceeds series length {prices.shape[1]}")
+    return prices, labels, p
 
-    Train mode pairs contaminated and uncontaminated windows one to one
-    (2 N_c rows); test mode sets N_u = ceil(N_c (1 - r_c) / r_c) so the
-    contamination rate is r_c up to the ceiling. At dense contamination the
-    single-anomaly windows can outnumber what the uncontaminated supply
-    sustains, so the contaminated class is subsampled uniformly to the
-    largest N_c the mode's rule can satisfy; both classes draw without
-    replacement from one seeded stream.
+
+def _view(values, p):
+    """Every length-p window of each row: an n_stocks x n_windows x p view."""
+    return np.lib.stride_tricks.sliding_window_view(values, p, axis=1)
+
+
+def select(counts, mode, r_c=0.16, seed=0):
+    """Kept window indices, ascending, from each window's anomaly count.
+
+    Multi-anomaly windows are dropped. Train mode pairs contaminated and
+    uncontaminated windows one to one (2 N_c rows); test mode sets
+    N_u = ceil(N_c (1 - r_c) / r_c) so the contamination rate is r_c up to the
+    ceiling. At dense contamination the single-anomaly windows can outnumber
+    what the uncontaminated supply sustains, so the contaminated class is
+    subsampled uniformly to the largest N_c the mode's rule can satisfy; both
+    classes draw without replacement from one seeded stream.
     """
-    X = np.asarray(X)
-    sY = np.asarray(sY)
-    counts = sY.sum(axis=1)
+    counts = np.asarray(counts)
     contaminated = np.flatnonzero(counts == 1)
     clean = np.flatnonzero(counts == 0)
     if contaminated.size == 0:
@@ -276,30 +288,34 @@ def select(X, sY, mode, r_c=0.16, seed=0, provenance=None):
     rng = np.random.default_rng(seed)
     kept_c = rng.choice(contaminated, size=n_keep, replace=False)
     kept_u = rng.choice(clean, size=n_clean, replace=False)
-    keep = np.sort(np.concatenate([kept_c, kept_u]))
-    kept_prov = provenance[keep] if provenance is not None else None
-    return X[keep], sY[keep], kept_prov
+    return np.sort(np.concatenate([kept_c, kept_u]))
 
 
-def label(sY):
-    """Window labels from slided value labels: A = row sum, L = 1-based argmax."""
-    sY = np.asarray(sY)
-    counts = sY.sum(axis=1)
-    if np.any(counts > 1):
-        bad = int(np.flatnonzero(counts > 1)[0])
-        raise ValueError(f"row {bad} holds {int(counts[bad])} anomalies; selection should have removed it")
-    A = counts.astype(np.int64)
-    L = np.zeros(sY.shape[0], dtype=np.int64)
+def build_labeled_panel(panel, labels, window_length, mode, r_c=0.16, seed=0):
+    """Window a panel with 0/1 value labels and keep the rows `select` picks.
+
+    Anomalies are counted on a sliding view of the labels, and only the kept
+    windows are copied out of a sliding view of the prices, so memory follows
+    the kept rows (n_kept x p floats), not every window. A = the window's
+    anomaly count; L = the 1-based index of the one anomaly in a contaminated
+    window (the first stamp at or after its offset), 0 elsewhere.
+    """
+    prices, labels, p = _windowable(panel, labels, window_length)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("value labels must be 0 or 1")
+    windows = _view(prices, p)
+    n_windows = windows.shape[1]
+    counts = _view(labels, p).sum(axis=2).ravel()
+    keep = select(counts, mode, r_c=r_c, seed=seed)
+    stock, offset = np.divmod(keep, n_windows)
+    A = counts[keep].astype(np.int64)
+    L = np.zeros(keep.size, dtype=np.int64)
     hot = A == 1
-    L[hot] = np.argmax(sY[hot], axis=1) + 1
-    return A, L
-
-
-def build_labeled_panel(X, sY, provenance, mode, r_c=0.16, seed=0):
-    """select + label in one call, packaged as a LabeledPanel."""
-    X_sel, sY_sel, prov_sel = select(X, sY, mode, r_c=r_c, seed=seed, provenance=provenance)
-    A, L = label(sY_sel)
-    return LabeledPanel(windows=X_sel, ident_labels=A, loc_labels=L, provenance=prov_sel)
+    start = stock[hot] * labels.shape[1] + offset[hot]
+    stamps = np.flatnonzero(labels)
+    L[hot] = stamps[np.searchsorted(stamps, start)] - start + 1
+    return LabeledPanel(windows=windows[stock, offset], ident_labels=A, loc_labels=L,
+                        provenance=np.column_stack([stock, offset]))
 
 
 def split_train_test(panel: PricePanel, split_index):

@@ -120,8 +120,7 @@ def build_datasets(cfg: PipelineConfig = None) -> DatasetBundle:
 
 def labeled_windows(prices, value_labels, mode, window_length, r_c, seed):
     """Window one contaminated part and select its labeled rows ("train" or "test" mode)."""
-    X, sY, provenance = simgen.slide(prices, value_labels, window_length)
-    return simgen.build_labeled_panel(X, sY, provenance, mode, r_c=r_c,
+    return simgen.build_labeled_panel(prices, value_labels, window_length, mode, r_c=r_c,
                                       seed=derive_seed(seed, f"select_{mode}"))
 
 

@@ -315,6 +315,28 @@ def test_label_location_beyond_the_window_exits_3(workdir, tmp_path, capsys, com
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("name, damage, message", [
+    ("pca.txt", lambda lines: lines[:7] + lines[6:], "after the 12 omega rows"),
+    ("net.txt", lambda lines: lines + lines[-1:], "after b2"),
+    ("labels_test.csv", lambda lines: lines[:2] + ["0x10" + lines[2][1:]] + lines[3:],
+     "row_id '0x10' where 1 belongs"),
+])
+def test_damaged_model_and_label_files_exit_2(workdir, tmp_path, capsys, name, damage, message):
+    files = {"pca.txt": workdir / "pca.txt", "net.txt": workdir / "net.txt",
+             "labels_test.csv": workdir / "labels_test.csv"}
+    lines = files[name].read_text().splitlines()
+    files[name] = tmp_path / name
+    files[name].write_text("\n".join(damage(lines)) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert _run("evaluate", "--out-dir", out, "--quiet",
+                "--windows", workdir / "windows_test.csv", "--labels", files["labels_test.csv"],
+                "--pca", files["pca.txt"], "--net", files["net.txt"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
 # -- var -----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from panelscan import density
 
@@ -124,3 +125,20 @@ def test_degenerate_identical_samples_still_produce_cutoff():
     f_c = density.fit_kde(np.zeros(5))
     result = density.intersection_cutoff(f_u, f_c)
     assert result.cutoff == 0.0
+
+
+def test_grid_evaluation_is_blocked_and_bit_identical(traced_peak):
+    rng = np.random.default_rng(9)
+    f_u = density.fit_kde(rng.standard_normal(6000))
+    f_c = density.fit_kde(rng.standard_normal(6000) + 2.0)
+    _, peak = traced_peak(lambda: density.intersection_cutoff(f_u, f_c))
+    assert peak <= 10e6  # one 1024 x 6000 float matrix alone is 49 MB
+    # every grid point is its own reduction: blocked values equal the one-shot matrix
+    grid = np.linspace(-4.0, 6.0, 200)
+    small = density.fit_kde(rng.standard_normal(300))
+    z = (grid[:, None] - small.samples[None, :]) / small.bandwidth
+    assert density.auc_below(small, grid).tobytes() == ndtr(z).mean(axis=1).tobytes()
+    assert density.auc_above(small, grid).tobytes() == ndtr(-z).mean(axis=1).tobytes()
+    scale = small.samples.size * small.bandwidth * np.sqrt(2.0 * np.pi)
+    assert density.pdf(small, grid).tobytes() == (np.exp(-0.5 * z * z).sum(axis=1) / scale).tobytes()
+    assert density.pdf(small, grid[7]) == density.pdf(small, grid)[7]

@@ -1,16 +1,19 @@
 """CSV and model-file round trips: 17-digit floats must come back bit-exact."""
 
 import csv
+import gc
 import json
 import re
+import warnings
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panelscan import cli, detector, io, pcafeat, scorer, simgen
+from panelscan import cli, detector, io, pcafeat, scorer, simgen, workflows
 
 # awkward float64 values: shortest repr needs the full 17 significant digits,
 # subnormals, and the extremes of the exponent range
@@ -87,6 +90,37 @@ def test_read_panel_rejects_malformed_float(tmp_path):
     path.write_text("series_id,t_1,t_2\n0,1.0,oops\n")
     with pytest.raises(ValueError, match="malformed price"):
         io.read_panel(path)
+
+
+def test_read_panel_streams_a_long_file_and_names_a_late_bad_row(tmp_path):
+    path = tmp_path / "panel.csv"
+    io.write_panel(path, _rng_matrix((6000, 4), 5))
+    lines = path.read_text().splitlines(keepends=True)
+    good = "".join(lines)
+    damaged = {"ragged": (r"row \['4999'\] has 3 values, expected 4", "4999,1,2,3\n"),
+               "quoted": ("unterminated quoted series id", '"4999,1,2,3,4\n'),
+               "price": ("malformed price: .* at row 4999", "4999,1,2,x,4\n")}
+    for pattern, row in damaged.values():
+        path.write_text("".join(lines[:5000] + [row] + lines[5001:]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=pattern):
+                io.read_panel(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    path.write_text(good)
+    ids, prices = io.read_panel(path)
+    assert len(ids) == 6000 and ids[4999] == "4999" and prices.shape == (6000, 4)
+
+
+def test_read_panel_holds_one_line_besides_the_array(tmp_path, traced_peak):
+    # seed-0 windows_train.csv: 12 030 rows of 206 values, 45 MB of text
+    windows = workflows.build_datasets(workflows.PipelineConfig(seed=0)).train.windows
+    path = tmp_path / "windows_train.csv"
+    io.write_panel(path, windows)
+    (_, back), peak = traced_peak(lambda: io.read_panel(path))
+    assert back.tobytes() == windows.tobytes()
+    assert peak <= 1.5 * back.nbytes
 
 
 def test_read_panel_missing_file_raises_oserror(tmp_path):
@@ -504,6 +538,21 @@ def test_read_labels_validation(tmp_path):
         io.read_labels(path)
 
 
+def test_read_labels_requires_row_ids_in_order(tmp_path):
+    path = tmp_path / "rows.csv"
+    io.write_labels(path, [0, 1, 0, 1], [0, 3, 0, 5])
+    lines = path.read_text().splitlines()
+    for bad in ("0x2", "3", "02", " 2", ""):
+        damaged = list(lines)
+        damaged[3] = bad + damaged[3][1:]
+        path.write_text("\n".join(damaged) + "\n")
+        with pytest.raises(ValueError, match=f"row_id {bad!r} where 2 belongs"):
+            io.read_labels(path)
+    path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")  # a dropped row
+    with pytest.raises(ValueError, match="row_id '2' where 1 belongs"):
+        io.read_labels(path)
+
+
 # -- model files -------------------------------------------------------------
 
 
@@ -548,6 +597,20 @@ def test_read_pca_model_rejects_bad_omega_width(tmp_path):
     lines[-1] = " ".join(lines[-1].split()[:-1])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="omega row"):
+        io.read_pca_model(path)
+
+
+@pytest.mark.parametrize("extra", ["duplicate", "garbage", "blank"])
+def test_read_pca_model_refuses_lines_after_omega(tmp_path, extra):
+    path = tmp_path / "pca.txt"
+    io.write_pca_model(path, _fitted_pca())
+    lines = path.read_text().splitlines()
+    if extra == "duplicate":  # a repeated omega row pushes the last one out
+        lines.insert(7, lines[7])
+    else:
+        lines.append("0.5 0.5" if extra == "garbage" else "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="unexpected line .* after the 3 omega rows"):
         io.read_pca_model(path)
 
 
@@ -598,6 +661,21 @@ def test_read_network_validation(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError):
         io.read_network(path)
+
+
+@pytest.mark.parametrize("extra", ["b2 0.5", "W3", ""])
+def test_read_network_refuses_lines_after_the_last_bias(tmp_path, extra):
+    path = tmp_path / "net.txt"
+    io.write_network(path, _toy_network())
+    path.write_text(path.read_text() + extra + "\n")
+    with pytest.raises(ValueError, match=f"unexpected line {extra!r} after b2"):
+        io.read_network(path)
+
+
+def test_stored_benchmark_model_files_still_load():
+    root = Path(__file__).resolve().parents[1] / "perfbench" / "model"
+    assert io.read_pca_model(root / "pca.txt").omega.shape == (40, 206)
+    assert io.read_network(root / "net.txt").layer_dims == [206, 64, 32, 1]
 
 
 @pytest.mark.parametrize("token", NON_FINITE)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from panelscan import simgen
+from panelscan import simgen, workflows
 
 # Zero-volatility paths are deterministic: S_t = 100 exp(0.1 t).
 ZERO_VOL_PATH = np.array([
@@ -194,28 +196,30 @@ def _synthetic_rows(n_clean, n_single, n_multi, p=8, seed=0):
 
 def test_select_train_is_exactly_balanced():
     X, sY, prov = _synthetic_rows(n_clean=40, n_single=12, n_multi=5)
-    X_sel, sY_sel, prov_sel = simgen.select(X, sY, "train", seed=1, provenance=prov)
+    keep = simgen.select(sY.sum(axis=1), "train", seed=1)
+    X_sel, sY_sel, prov_sel = X[keep], sY[keep], prov[keep]
     counts = sY_sel.sum(axis=1)
     assert X_sel.shape[0] == 24
     assert (counts == 1).sum() == 12 and (counts == 0).sum() == 12
     assert np.all(counts <= 1)
     assert prov_sel.shape == (24, 2)
+    assert np.all(np.diff(keep) > 0)
 
 
 def test_select_train_caps_to_clean_supply():
     # more single-anomaly rows than clean rows: balance at the clean count
     X, sY, _ = _synthetic_rows(n_clean=4, n_single=10, n_multi=2)
-    X_sel, sY_sel, _ = simgen.select(X, sY, "train", seed=3)
-    counts = sY_sel.sum(axis=1)
-    assert X_sel.shape[0] == 8
+    keep = simgen.select(sY.sum(axis=1), "train", seed=3)
+    counts = sY[keep].sum(axis=1)
+    assert X[keep].shape[0] == 8
     assert (counts == 1).sum() == 4 and (counts == 0).sum() == 4
 
 
 def test_select_test_rate_within_one_row():
-    X, sY, _ = _synthetic_rows(n_clean=40, n_single=4, n_multi=0)
-    _, sY_sel, _ = simgen.select(X, sY, "test", r_c=0.16, seed=2)
-    n_c = int((sY_sel.sum(axis=1) == 1).sum())
-    n_u = int((sY_sel.sum(axis=1) == 0).sum())
+    _, sY, _ = _synthetic_rows(n_clean=40, n_single=4, n_multi=0)
+    keep = simgen.select(sY.sum(axis=1), "test", r_c=0.16, seed=2)
+    n_c = int((sY[keep].sum(axis=1) == 1).sum())
+    n_u = int((sY[keep].sum(axis=1) == 0).sum())
     assert n_c == 4
     assert n_u == int(np.ceil(n_c * (1 - 0.16) / 0.16))
     rate = n_c / (n_c + n_u)
@@ -224,9 +228,9 @@ def test_select_test_rate_within_one_row():
 
 
 def test_select_test_caps_contaminated_to_supported_rate():
-    X, sY, _ = _synthetic_rows(n_clean=21, n_single=10, n_multi=0)
-    _, sY_sel, _ = simgen.select(X, sY, "test", r_c=0.16, seed=5)
-    counts = sY_sel.sum(axis=1)
+    _, sY, _ = _synthetic_rows(n_clean=21, n_single=10, n_multi=0)
+    keep = simgen.select(sY.sum(axis=1), "test", r_c=0.16, seed=5)
+    counts = sY[keep].sum(axis=1)
     n_c = int((counts == 1).sum())
     n_u = int((counts == 0).sum())
     # floor(21 * 0.16 / 0.84) = 4 contaminated rows, 21 clean rows
@@ -236,45 +240,54 @@ def test_select_test_caps_contaminated_to_supported_rate():
 
 def test_select_is_deterministic_and_seed_sensitive():
     X, sY, _ = _synthetic_rows(n_clean=50, n_single=8, n_multi=3, seed=4)
-    a = simgen.select(X, sY, "train", seed=6)[0]
-    b = simgen.select(X, sY, "train", seed=6)[0]
+    counts = sY.sum(axis=1)
+    a = X[simgen.select(counts, "train", seed=6)]
+    b = X[simgen.select(counts, "train", seed=6)]
     np.testing.assert_array_equal(a, b)
-    c = simgen.select(X, sY, "train", seed=7)[0]
+    c = X[simgen.select(counts, "train", seed=7)]
     assert not np.array_equal(a, c)
 
 
 def test_select_errors():
-    X, sY, _ = _synthetic_rows(n_clean=10, n_single=0, n_multi=2)
+    _, sY, _ = _synthetic_rows(n_clean=10, n_single=0, n_multi=2)
     with pytest.raises(ValueError, match="no contaminated windows"):
-        simgen.select(X, sY, "train")
-    X, sY, _ = _synthetic_rows(n_clean=0, n_single=5, n_multi=0)
+        simgen.select(sY.sum(axis=1), "train")
+    _, sY, _ = _synthetic_rows(n_clean=0, n_single=5, n_multi=0)
     with pytest.raises(ValueError, match="cannot support"):
-        simgen.select(X, sY, "train")
-    X, sY, _ = _synthetic_rows(n_clean=10, n_single=5, n_multi=0)
+        simgen.select(sY.sum(axis=1), "train")
+    _, sY, _ = _synthetic_rows(n_clean=10, n_single=5, n_multi=0)
     with pytest.raises(ValueError):
-        simgen.select(X, sY, "validate")
+        simgen.select(sY.sum(axis=1), "validate")
     with pytest.raises(ValueError):
-        simgen.select(X, sY, "test", r_c=0.0)
+        simgen.select(sY.sum(axis=1), "test", r_c=0.0)
 
 
 def test_label_rules_and_multi_anomaly_guard():
     sY = np.zeros((4, 6), dtype=np.int64)
     sY[1, 3] = 1
     sY[2, 0] = 1
-    A, L = simgen.label(sY)
-    np.testing.assert_array_equal(A, [0, 1, 1, 0])
-    np.testing.assert_array_equal(L, [0, 4, 1, 0])
+    # p == n_steps: stock i's only window holds value-label row i
+    prices, p = np.arange(1.0, sY.size + 1.0).reshape(sY.shape), sY.shape[1]
+    lp = simgen.build_labeled_panel(prices, sY, p, "train")
+    np.testing.assert_array_equal(lp.ident_labels, [0, 1, 1, 0])
+    np.testing.assert_array_equal(lp.loc_labels, [0, 4, 1, 0])
+    assert lp.ident_labels.dtype == lp.loc_labels.dtype == np.int64
+    # a window with 2 anomalies is never kept, whatever the seed
     sY[3, 1] = sY[3, 5] = 1
-    with pytest.raises(ValueError, match="2 anomalies"):
-        simgen.label(sY)
+    for seed in range(8):
+        lp = simgen.build_labeled_panel(prices, sY, p, "test", r_c=1.0, seed=seed)
+        np.testing.assert_array_equal(lp.provenance[:, 0], [1, 2])
+        np.testing.assert_array_equal(lp.loc_labels, [4, 1])
+    sY[3, 1] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        simgen.build_labeled_panel(prices, sY, p, "train")
 
 
 def test_build_labeled_panel_locations_map_to_stamps():
     cfg = simgen.DiffusionConfig(n_stocks=4, n_steps=90, seed=21)
     clean = simgen.simulate_gbm(cfg)
     dirty, vlabels = simgen.contaminate(clean, simgen.ContaminationConfig(n_anom=2, rho=0.04, seed=8))
-    X, sY, prov = simgen.slide(dirty, vlabels, 20)
-    lp = simgen.build_labeled_panel(X, sY, prov, "train", seed=13)
+    lp = simgen.build_labeled_panel(dirty, vlabels, 20, "train", seed=13)
     assert lp.n_rows == 2 * int(lp.ident_labels.sum())
     assert lp.window_length == 20
     hot = lp.ident_labels == 1
@@ -285,6 +298,90 @@ def test_build_labeled_panel_locations_map_to_stamps():
         stamp = off + lp.loc_labels[row] - 1
         assert vlabels[stock, stamp] == 1
         np.testing.assert_array_equal(lp.windows[row], dirty.prices[stock, off:off + 20])
+
+
+def _reference_windows(prices, labels, p, mode, r_c, seed):
+    """The copy-every-window slide -> select -> label path that build_labeled_panel replaced."""
+    n_stocks, n_steps = prices.shape
+    n_windows = n_steps - p + 1
+    view = np.lib.stride_tricks.sliding_window_view
+    X = view(prices, p, axis=1).reshape(n_stocks * n_windows, p).copy()
+    sY = view(labels, p, axis=1).reshape(n_stocks * n_windows, p).copy()
+    provenance = np.column_stack([np.repeat(np.arange(n_stocks), n_windows),
+                                  np.tile(np.arange(n_windows), n_stocks)])
+    counts = sY.sum(axis=1)
+    contaminated = np.flatnonzero(counts == 1)
+    clean = np.flatnonzero(counts == 0)
+    if contaminated.size == 0:
+        raise ValueError("no contaminated windows survive selection")
+    if mode == "train":
+        n_keep = min(contaminated.size, clean.size)
+        n_clean = n_keep
+    else:
+        if r_c == 1.0:
+            n_keep = contaminated.size
+        else:
+            n_keep = min(contaminated.size, int(np.floor(clean.size * r_c / (1.0 - r_c))))
+        n_clean = int(np.ceil(n_keep * (1.0 - r_c) / r_c)) if r_c < 1.0 else 0
+    if n_keep == 0:
+        raise ValueError(f"{clean.size} uncontaminated windows cannot support "
+                         f"mode {mode!r} at r_c={r_c}")
+    rng = np.random.default_rng(seed)
+    kept_c = rng.choice(contaminated, size=n_keep, replace=False)
+    kept_u = rng.choice(clean, size=n_clean, replace=False)
+    keep = np.sort(np.concatenate([kept_c, kept_u]))
+    sY = sY[keep]
+    A = sY.sum(axis=1).astype(np.int64)
+    L = np.zeros(sY.shape[0], dtype=np.int64)
+    L[A == 1] = np.argmax(sY[A == 1], axis=1) + 1
+    return simgen.LabeledPanel(windows=X[keep], ident_labels=A, loc_labels=L,
+                               provenance=provenance[keep])
+
+
+def _build_or_refusal(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _labeled_panels(draw):
+    n_stocks = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 40))
+    p = draw(st.integers(1, n_steps))
+    labels = np.zeros((n_stocks, n_steps), dtype=np.int64)
+    for i in range(n_stocks):  # windows end up with 0, 1 or more anomalies
+        stamps = draw(st.lists(st.integers(0, n_steps - 1), max_size=3, unique=True))
+        labels[i, stamps] = 1
+    prices = np.random.default_rng(draw(st.integers(0, 99))).random((n_stocks, n_steps))
+    mode = draw(st.sampled_from(["train", "test"]))
+    r_c = draw(st.sampled_from([0.05, 0.16, 0.5, 0.9, 1.0]))
+    return prices, labels, p, mode, r_c, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_labeled_panels())
+def test_build_labeled_panel_matches_the_copy_every_window_path(case):
+    want = _build_or_refusal(_reference_windows, *case)
+    got = _build_or_refusal(simgen.build_labeled_panel, *case)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for field in ("windows", "ident_labels", "loc_labels", "provenance"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+        assert a.tobytes() == b.tobytes(), field
+
+
+def test_windowing_memory_follows_the_kept_rows(traced_peak):
+    # seed-0 train half: 15 900 windows of 206, of which 12 030 are kept
+    cfg = workflows.PipelineConfig(seed=0)
+    panels = workflows.build_panels(cfg)
+    kept, peak = traced_peak(lambda: workflows.labeled_windows(
+        panels.contaminated_train, panels.train_value_labels, "train",
+        cfg.window_length, cfg.r_c, cfg.seed))
+    assert peak <= 1.6 * kept.windows.nbytes
 
 
 def test_split_train_test_partitions_columns():
