@@ -12,15 +12,22 @@ dependence on how hard the anomaly actually hits the series.
 
 import numpy as np
 
-from panelscan import detector, evaluation, workflows
+from panelscan import evaluation, workflows
 
 SEED = 0
+
+
+def _ratio(bucket, width):
+    """A bucket's ratio, or a dash for an empty bucket (its ratio is None)."""
+    if bucket.ratio is None:
+        return "-".rjust(width)
+    return f"{bucket.ratio:{width}.4f}"
 
 
 def main():
     result = workflows.reference_run(workflows.PipelineConfig(seed=SEED))
     panel = result.data.test
-    scored = detector.score_rows(result.model, panel.windows)
+    scored = result.test_scored
     print(f"calibrated on seed {SEED}: cut-off s = {result.model.net.cutoff:.4f}, "
           f"test rows {panel.n_rows} ({int(panel.ident_labels.sum())} contaminated)")
 
@@ -38,15 +45,14 @@ def main():
           "(precision converges here as gamma drives every score above s)")
 
     print("\ndetection ratio by injected amplitude quartile (test rows)")
-    amplitudes, ident_correct, loc_correct = workflows.amplitude_records(
-        result.data, scored)
+    amplitudes, ident_correct, loc_correct = workflows.amplitude_records(result)
     print("  bucket  amplitude range        rows  identified  localized")
     loc_buckets = evaluation.amplitude_sensitivity(amplitudes, loc_correct)
     for i, (b, lb) in enumerate(zip(
             evaluation.amplitude_sensitivity(amplitudes, ident_correct),
             loc_buckets), start=1):
         print(f"  {i}       [{b.low:.5f}, {b.high:.5f}]   {b.count:4d}  "
-              f"{b.ratio:10.4f}  {lb.ratio:9.4f}")
+              f"{_ratio(b, 10)}  {_ratio(lb, 9)}")
     counts = result.summary["ident_test"].counts
     print(f"  clean-row flag rate on the test split "
           f"{counts['fp'] / (counts['fp'] + counts['tn']):.4f} "

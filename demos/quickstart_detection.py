@@ -10,7 +10,7 @@ located stamps can be eyeballed against the truth.
 
 import numpy as np
 
-from panelscan import detector, workflows
+from panelscan import workflows
 
 SEED = 0
 
@@ -44,7 +44,7 @@ def main():
           f"{s['naive_auc_c']:.4f}")
 
     panel = result.data.test
-    scored = detector.score_rows(result.model, panel.windows)
+    scored = result.test_scored
 
     print("\nsample test rows (score > s flags the row)")
     print("  row   A  score      flagged  true stamp  located")

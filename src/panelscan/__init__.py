@@ -31,7 +31,6 @@ from .evaluation import (
 from .pcafeat import (
     FeatureMatrix,
     PcaModel,
-    calibrate_latent_dim,
     fit_pca,
     reconstruction_errors,
 )

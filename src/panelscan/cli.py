@@ -336,8 +336,7 @@ def cmd_bench(args):
         ratios = np.zeros(4)
         edges = []
         for result in runs:
-            amplitudes, ident_correct, _ = workflows.amplitude_records(
-                result.data, detector.score_rows(result.model, result.data.test.windows))
+            amplitudes, ident_correct, _ = workflows.amplitude_records(result)
             buckets = evaluation.amplitude_sensitivity(amplitudes, ident_correct)
             ratios += np.array([b.ratio if b.ratio is not None else 0.0 for b in buckets])
             edges.append([(b.low, b.high) for b in buckets])

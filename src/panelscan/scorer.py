@@ -16,16 +16,16 @@ with respect to every score and to s are exact:
     d AUC_u / d s = -f_u(s),   d AUC_c / d s = +f_c(s),
 
 and per-score derivatives are kernel CDF derivatives. Everything else is
-plain backpropagation. The optimizer is Adam on 16-row minibatches by default
-(full-batch on request); the loss is observed on the full training set at
-every iteration, and the returned parameters are the best-loss snapshot.
+plain backpropagation. The optimizer is Adam on 16-row minibatches by default;
+the loss is observed on the full training set at every iteration, and the
+returned parameters are the best-loss snapshot.
 
-In minibatch mode a pool of observer threads runs the full-set observations
-while the calling thread takes the Adam steps alone. An observation reads
-only its own iterate, which the steps never write into, and touches neither
-the network being trained nor the RNG; the results are booked in iteration
-order. So the history, the snapshot and every error are those of a serial
-run, whatever the number of threads or their timing.
+A pool of observer threads runs the full-set observations while the calling
+thread takes the Adam steps alone. An observation reads only its own iterate,
+which the steps never write into, and touches neither the network being
+trained nor the RNG; the results are booked in iteration order. So the
+history, the snapshot and every error are those of a serial run, whatever the
+number of threads or their timing.
 """
 
 from __future__ import annotations
@@ -64,10 +64,9 @@ class TrainConfig:
     hidden_dims: tuple = (64, 32)
     learning_rate: float = 1e-3
     max_iters: int = 2000
-    batch_size: int | None = 16  # rows per Adam update; None trains full-batch
+    batch_size: int = 16  # rows per Adam update
     seed: int = 0
     temperature: float = 0.2   # label smoothing scale; initial scores have unit spread
-    anneal_factor: float = 1.0  # < 1 shrinks tau every max_iters // 4 iterations
 
 
 @dataclass
@@ -162,18 +161,6 @@ def _bandwidths(scores_u, scores_c, pinned):
     return density.silverman_bandwidth(scores_u), density.silverman_bandwidth(scores_c)
 
 
-def _terms_from_scores(scores, A, s, tau, bandwidths=None):
-    """The one loss kernel: BCE plus both density terms at the given scores."""
-    scores_u, scores_c = _class_split(scores, A)
-    h_u, h_c = _bandwidths(scores_u, scores_c, bandwidths)
-    raw = expit((scores - s) / tau)
-    p_hat = np.clip(raw, PROB_CLIP, 1.0 - PROB_CLIP)
-    bce = -float(np.mean(A * np.log(p_hat) + (1.0 - A) * np.log(1.0 - p_hat)))
-    auc_u = float(np.mean(ndtr((scores_u - s) / h_u)))
-    auc_c = float(np.mean(ndtr((s - scores_c) / h_c)))
-    return LossTerms(total=bce + auc_u + auc_c, bce=bce, auc_u=auc_u, auc_c=auc_c)
-
-
 def _score_gradients(scores, A, s, tau, bandwidths):
     """d loss / d score_i and d loss / d s, treating the bandwidths as fixed.
 
@@ -218,12 +205,12 @@ def _backprop(net, pre_activations, activations, d_scores):
     return grad_w, grad_b
 
 
-def _scores_and_gradients(net, batch, A, bandwidths=None):
-    """A batch's scores and the exact gradients of its loss: the one gradient path."""
+def _gradients(net, batch, A, bandwidths=None):
+    """The exact gradients of a batch's loss: the one gradient path."""
     scores, pre_activations, activations = _forward_cached(net, batch)
     d_scores, d_cutoff = _score_gradients(scores, A, net.cutoff, net.temperature, bandwidths)
     grad_w, grad_b = _backprop(net, pre_activations, activations, d_scores)
-    return scores, LossGradient(weights=grad_w, biases=grad_b, cutoff=d_cutoff)
+    return LossGradient(weights=grad_w, biases=grad_b, cutoff=d_cutoff)
 
 
 def _as_batch(net, epsilon, A):
@@ -237,9 +224,17 @@ def _as_batch(net, epsilon, A):
 
 
 def _observe(net, batch, labels, bandwidths=None):
-    """Loss terms of net on a batch: the body of loss_terms and of each pool observation."""
-    return _terms_from_scores(forward(net, batch), labels, net.cutoff, net.temperature,
-                              bandwidths)
+    """The one loss kernel, BCE plus both density terms: loss_terms and every observation."""
+    scores = forward(net, batch)
+    s, tau = net.cutoff, net.temperature
+    scores_u, scores_c = _class_split(scores, labels)
+    h_u, h_c = _bandwidths(scores_u, scores_c, bandwidths)
+    raw = expit((scores - s) / tau)
+    p_hat = np.clip(raw, PROB_CLIP, 1.0 - PROB_CLIP)
+    bce = -float(np.mean(labels * np.log(p_hat) + (1.0 - labels) * np.log(1.0 - p_hat)))
+    auc_u = float(np.mean(ndtr((scores_u - s) / h_u)))
+    auc_c = float(np.mean(ndtr((s - scores_c) / h_c)))
+    return LossTerms(total=bce + auc_u + auc_c, bce=bce, auc_u=auc_u, auc_c=auc_c)
 
 
 def loss_terms(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> LossTerms:
@@ -261,7 +256,7 @@ def loss_gradient(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> Los
     """Exact gradients of the loss over weights, biases and the cut-off."""
     batch, labels = _as_batch(net, epsilon_batch, A)
     _require_both_classes(labels)
-    return _scores_and_gradients(net, batch, labels, bandwidths)[1]
+    return _gradients(net, batch, labels, bandwidths)
 
 
 def _init_network(p, hidden_dims, rng):
@@ -298,27 +293,22 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     """Minibatch Adam on the custom loss; returns the best-loss snapshot.
 
     Each of the max_iters iterations takes one Adam step on a minibatch of
-    batch_size rows (shuffled anew each pass over the data; batch_size None or
-    >= n trains full-batch). The loss is observed on the full training set at
-    every iteration and the returned parameters are the snapshot with the
-    lowest observed loss, so the log and the snapshot rule are independent of
-    the batching. Gradients on a batch use KDE bandwidths refit from that
-    batch's scores; a single-class batch gets the gradients of its BCE term
-    alone.
+    batch_size rows, shuffled anew each pass over the data; a set of at most
+    batch_size rows steps on all of its rows. The loss is observed on the full
+    training set at every iteration and the returned parameters are the
+    snapshot with the lowest observed loss, so the log and the snapshot rule
+    are independent of the batching. Gradients on a batch use KDE bandwidths
+    refit from that batch's scores; a single-class batch gets the gradients of
+    its BCE term alone.
 
-    Where the observation runs: full-batch, the gradient pass doubles as the
-    observation and runs inline. With minibatches a pool of observer threads,
-    one per usable core and at most 4, runs the observations while the
-    calling thread takes the Adam steps alone. Each iterate goes to the pool
-    by reference, and the calling thread waits for the oldest observation
-    once more than two per observer are in flight. Each observation runs in a
-    copy of the caller's context, so a numpy errstate set around train holds
-    there too. The observations are booked strictly in iteration order by the
-    serial rule (strict <, the first minimum wins), and the first non-finite
-    one raises FloatingPointError naming its iteration before any error from
-    a later step is re-raised. An observation is a pure function of its
-    iterate, so the history, the snapshot and the errors do not depend on
-    which thread ran it or when.
+    The observations run on the observer pool, one thread per usable core and
+    at most 4; the calling thread waits for the oldest observation once more
+    than two per observer are in flight. Each observation runs in a copy of
+    the caller's context, so a numpy errstate set around train holds there
+    too. The observations are booked in iteration order by the serial rule
+    (strict <, the first minimum wins), and the first non-finite one raises
+    FloatingPointError naming its iteration before any error from a later
+    step is re-raised.
 
     Initialization: uniform +-1/sqrt(fan_in) weights; the output layer is then
     rescaled so the initial scores have unit spread (keeps the learned cut-off
@@ -326,21 +316,18 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     median initial score. The default tau of 0.2 on that unit scale keeps the
     BCE pull bounded once |score - s| clears a few units, so trained scores
     stay compact around the cut-off instead of stretching to the probability
-    clip. An anneal_factor below one shrinks tau every max_iters // 4
-    iterations for callers who want a harder indicator late in training.
+    clip.
     """
     cfg = cfg or TrainConfig()
     if not (np.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
         raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
     if not (np.isfinite(cfg.temperature) and cfg.temperature > 0):
         raise ValueError(f"temperature must be finite and > 0, got {cfg.temperature}")
-    if not (np.isfinite(cfg.anneal_factor) and cfg.anneal_factor > 0):
-        raise ValueError(f"anneal_factor must be finite and > 0, got {cfg.anneal_factor}")
     if any(int(width) < 1 for width in cfg.hidden_dims):
         raise ValueError(f"hidden widths must be >= 1, got {tuple(cfg.hidden_dims)}")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if cfg.batch_size is not None and int(cfg.batch_size) < 1:
+    if cfg.batch_size is None or int(cfg.batch_size) < 1:
         raise ValueError("batch_size must be positive")
     # column-major once: every observation below runs forward on the whole set
     batch = np.asfortranarray(np.atleast_2d(np.asarray(epsilon_train, dtype=float)))
@@ -364,15 +351,20 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     best = _iterate(net)
     best_loss = np.inf
     best_iteration = 0
-    anneal_period = cfg.max_iters // 4
 
     n_rows = batch.shape[0]
-    step = n_rows if cfg.batch_size is None else min(int(cfg.batch_size), n_rows)
+    step = int(cfg.batch_size)  # a set of fewer rows yields all of them each pass
     order = np.empty(0, dtype=np.intp)
     cursor = 0
 
-    def _book(iteration, terms, iterate):
+    observers = _observer_count()
+    pool = ThreadPoolExecutor(max_workers=observers)
+    pending = collections.deque()  # (iteration, iterate, future), oldest first
+
+    def _book_oldest():
         nonlocal best, best_loss, best_iteration
+        iteration, iterate, future = pending.popleft()
+        terms = future.result()
         history.append(TrainLogRow(iteration, terms.total, terms.bce,
                                    terms.auc_u, terms.auc_c, iterate.cutoff))
         if not np.isfinite(terms.total):
@@ -385,27 +377,12 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
             best = iterate
             best_iteration = iteration
 
-    observers = 0 if step == n_rows else _observer_count()  # full-batch observes inline
-    pool = ThreadPoolExecutor(max_workers=observers) if observers else None
-    pending = collections.deque()  # (iteration, iterate, future), oldest first
-
-    def _book_oldest():
-        iteration, iterate, future = pending.popleft()
-        _book(iteration, future.result(), iterate)
-
     def _observe_current(iteration):
-        """Observe the current iterate; full-batch, also return that pass's gradients."""
         iterate = _iterate(net)
-        if pool is None:
-            scores, grads = _scores_and_gradients(net, batch, labels)
-            _book(iteration, _terms_from_scores(scores, labels, net.cutoff, net.temperature),
-                  iterate)
-            return grads
         future = pool.submit(contextvars.copy_context().run, _observe, iterate, batch, labels)
         pending.append((iteration, iterate, future))
         while len(pending) > 2 * observers:
             _book_oldest()
-        return None
 
     def _minibatch_gradients():
         nonlocal order, cursor
@@ -414,7 +391,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
             cursor = 0
         idx = order[cursor:cursor + step]
         cursor += step
-        return _scores_and_gradients(net, batch[idx], labels[idx])[1]
+        return _gradients(net, batch[idx], labels[idx])
 
     # Adam's two moments for each parameter, in the order [W..., b..., s]
     m = [np.zeros_like(p) for p in (*net.weights, *net.biases, net.cutoff)]
@@ -437,11 +414,9 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
 
     try:
         for k in range(cfg.max_iters):
-            if k > 0 and anneal_period > 0 and k % anneal_period == 0:
-                net.temperature *= cfg.anneal_factor
-            grads = _observe_current(k)
+            _observe_current(k)
             try:
-                _adam_step(k + 1, grads if grads is not None else _minibatch_gradients())
+                _adam_step(k + 1, _minibatch_gradients())
             except Exception:
                 # a serial run books every observation up to k before step k
                 while pending:
@@ -451,8 +426,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         while pending:
             _book_oldest()
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
     return TrainResult(network=best, history=history, best_iteration=best_iteration)
 
 

@@ -83,6 +83,7 @@ class PipelineResult:
     model: detector.DetectionModel
     training: scorer.TrainResult
     summary: dict
+    test_scored: detector.ScoredRows = None  # the test split's record behind summary
 
 
 def build_panels(cfg: PipelineConfig = None) -> DatasetBundle:
@@ -176,6 +177,11 @@ def split_metrics(scored: detector.ScoredRows, windows, A, L) -> dict:
 
 def evaluate_run(model: detector.DetectionModel, bundle: DatasetBundle) -> dict:
     """split_metrics on both splits plus the density AUC comparison."""
+    return _evaluate(model, bundle)[0]
+
+
+def _evaluate(model, bundle):
+    """evaluate_run's summary and the test split's ScoredRows it was computed from."""
     out = {}
     for split, panel in (("train", bundle.train), ("test", bundle.test)):
         scored = detector.score_rows(model, panel.windows)
@@ -197,7 +203,7 @@ def evaluate_run(model: detector.DetectionModel, bundle: DatasetBundle) -> dict:
             out["dummy_non_extreme_accuracy"] = float(
                 np.mean(dummy_localize(panel.windows)[ne] == truth))
     out["cutoff"] = float(model.net.cutoff)
-    return out
+    return out, scored  # the test split is scored last
 
 
 def reference_run(cfg: PipelineConfig = None) -> PipelineResult:
@@ -205,20 +211,21 @@ def reference_run(cfg: PipelineConfig = None) -> PipelineResult:
     cfg = cfg if cfg is not None else PipelineConfig()
     bundle = build_datasets(cfg)
     model, training = fit_detector(bundle)
-    summary = evaluate_run(model, bundle)
+    summary, test_scored = _evaluate(model, bundle)
     summary["final_loss"] = training.best_loss
     summary["temperature"] = float(model.net.temperature)
-    return PipelineResult(config=cfg, data=bundle, model=model,
-                          training=training, summary=summary)
+    return PipelineResult(config=cfg, data=bundle, model=model, training=training,
+                          summary=summary, test_scored=test_scored)
 
 
-def amplitude_records(bundle: DatasetBundle, scored: detector.ScoredRows):
+def amplitude_records(result: PipelineResult):
     """Injected shock amplitude and per-row correctness on contaminated test rows.
 
-    scored is score_rows on the bundle's test windows. Amplitude is
-    |contaminated/clean - 1| at the anomaly's absolute stamp, recovered
-    through the row's (stock, offset) provenance.
+    result comes from reference_run, which keeps the test split's record.
+    Amplitude is |contaminated/clean - 1| at the anomaly's absolute stamp,
+    recovered through the row's (stock, offset) provenance.
     """
+    bundle, scored = result.data, result.test_scored
     panel = bundle.test
     hot = panel.ident_labels == 1
     stocks = panel.provenance[hot, 0]

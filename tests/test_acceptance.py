@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from panelscan import detector, evaluation, pcafeat, workflows
+from panelscan import evaluation, pcafeat, workflows
 
 SEEDS = tuple(range(10))
 
@@ -105,9 +105,8 @@ def test_cutoff_shock_robustness(reference_runs):
     saturation_notes = []
     for run in reference_runs:
         panel = run.data.test
-        scores = detector.score_rows(run.model, panel.windows).scores
         table = dict(evaluation.cutoff_robustness(
-            scores, run.model.net.cutoff, panel.ident_labels))
+            run.test_scored.scores, run.model.net.cutoff, panel.ident_labels))
         base_acc = table[0.0].accuracy
         max_shifts.append(max(
             abs(table[g].accuracy - base_acc)
@@ -176,8 +175,7 @@ def test_detection_ratio_by_amplitude_quartile(reference_runs):
     correct = []
     fp = tn = 0
     for run in reference_runs:
-        amp, ident_ok, _ = workflows.amplitude_records(
-            run.data, detector.score_rows(run.model, run.data.test.windows))
+        amp, ident_ok, _ = workflows.amplitude_records(run)
         amplitudes.append(amp)
         correct.append(ident_ok)
         counts = run.summary["ident_test"].counts

@@ -280,6 +280,10 @@ def test_evaluate_matches_the_test_half_of_evaluate_run(tmp_path):
         train=scorer.TrainConfig(hidden_dims=(16,), max_iters=40, seed=3))
     result = workflows.reference_run(cfg)
     test = result.data.test
+    # the kept test record is the scoring pass the summary came from
+    rescored = detector.score_rows(result.model, test.windows)
+    for name in ("epsilon", "scores", "flags", "locations"):
+        np.testing.assert_array_equal(getattr(result.test_scored, name), getattr(rescored, name))
     io.write_pca_model(tmp_path / "pca.txt", result.model.pca)
     io.write_network(tmp_path / "net.txt", result.model.net)
     io.write_panel(tmp_path / "windows.csv", test.windows)

@@ -212,34 +212,3 @@ def test_fit_pca_validation():
         pcafeat.fit_pca(X[:1], 2)
     with pytest.raises(ValueError):
         pcafeat.fit_pca(np.ones(4), 1)
-
-
-def _spiked_panel(seed=0):
-    rng = np.random.default_rng(seed)
-    X = _factor_panel(n_rows=160, p=10, rank=2, noise=0.01, seed=seed)
-    A = np.zeros(160, dtype=np.int64)
-    A[:40] = 1
-    cols = rng.integers(0, 10, size=40)
-    X[np.arange(40), cols] += rng.choice([-1.0, 1.0], size=40) * 2.0
-    return X, A
-
-
-def test_calibrate_latent_dim_finds_plateau_start():
-    X, A = _spiked_panel(seed=4)
-    k = pcafeat.calibrate_latent_dim(X, A, k_grid=range(1, 9))
-    # rank-2 factors plus a spike: the plateau starts at or before k=3
-    assert 1 <= k <= 3
-
-
-def test_calibrate_latent_dim_validation():
-    X, A = _spiked_panel(seed=6)
-    with pytest.raises(ValueError, match="degenerate grid"):
-        pcafeat.calibrate_latent_dim(X, A, k_grid=[])
-    with pytest.raises(ValueError, match="degenerate grid"):
-        pcafeat.calibrate_latent_dim(X, A, k_grid=[0, 3])
-    with pytest.raises(ValueError, match="degenerate grid"):
-        pcafeat.calibrate_latent_dim(X, A, k_grid=[4, 11])
-    with pytest.raises(ValueError):
-        pcafeat.calibrate_latent_dim(X, np.zeros(X.shape[0]), k_grid=[2])
-    with pytest.raises(ValueError):
-        pcafeat.calibrate_latent_dim(X, A[:-1], k_grid=[2])

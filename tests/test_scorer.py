@@ -12,19 +12,6 @@ from panelscan import density, scorer
 SYMMETRIC_LOSS = 1.6931471805599453
 # d loss / d W for that case with inputs -1/+1: -(2 * (0.25 + phi(0)))
 SYMMETRIC_W_GRAD = -1.2978845608028654
-# full-batch training of _separable_set(seed=21, n=24) as the serial loop
-# recorded it: (loss, cut-off) per iteration
-FULL_BATCH_HISTORY = (
-    (0.32559200571260866, -8.209836158354168),
-    (0.32012103612672477, -8.20883615896977),
-    (0.1349766871282857, -8.207844625646624),
-    (0.1303369076264606, -8.206846893796742),
-    (0.02236222357934157, -8.205870623950121),
-    (0.021091011111688984, -8.205219750054678),
-    (0.0008750025184161278, -8.204857623654004),
-    (0.0008092450738684092, -8.204607432428366),
-    (0.000751744208697695, -8.20444765500871),
-)
 # minibatch training of _imbalanced_set() with batch_size=4, where most
 # batches hold one class, as the loop before the merged gradient path
 # recorded it: (loss, cut-off) per iteration
@@ -295,15 +282,6 @@ def test_training_temperature_fixed_by_default():
     assert result.network.temperature == 0.2
 
 
-def test_training_temperature_anneals_when_opted_in():
-    X, A = _separable_set(seed=15, n=24)
-    cfg = scorer.TrainConfig(hidden_dims=(4,), max_iters=8, seed=1,
-                             temperature=1.0, anneal_factor=0.5)
-    result = scorer.train(X, A, cfg)
-    # halved at iterations 2, 4, 6: the best snapshot carries its epoch's tau
-    assert result.network.temperature in (1.0, 0.5, 0.25, 0.125)
-
-
 def test_training_rejects_non_positive_temperature():
     X, A = _separable_set(seed=15, n=24)
     for tau in (0.0, np.nan, np.inf):
@@ -319,14 +297,12 @@ def test_training_refuses_meaningless_configurations_before_any_work(monkeypatch
 
     monkeypatch.setattr(scorer, "_init_network", no_work)
     threads = threading.active_count()
-    for factor in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="anneal_factor must be finite and > 0"):
-            scorer.train(X, A, scorer.TrainConfig(anneal_factor=factor))
     for dims in ((0,), (8, 0), (-3,)):
         with pytest.raises(ValueError, match="hidden widths must be >= 1"):
             scorer.train(X, A, scorer.TrainConfig(hidden_dims=dims))
-    with pytest.raises(ValueError, match="batch_size must be positive"):
-        scorer.train(X, A, scorer.TrainConfig(batch_size=0))
+    for size in (0, None):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            scorer.train(X, A, scorer.TrainConfig(batch_size=size))
     assert threading.active_count() == threads
 
 
@@ -382,28 +358,13 @@ def test_training_history_row_matches_its_iterate_across_the_lookahead():
     lookahead = 2 * scorer._observer_count()
 
     def run(iters):
-        cfg = scorer.TrainConfig(hidden_dims=(8, 4), max_iters=iters, seed=5, anneal_factor=1.0)
+        cfg = scorer.TrainConfig(hidden_dims=(8, 4), max_iters=iters, seed=5)
         return scorer.train(X, A, cfg)
 
     full = run(40)
     assert len(full.history) == 41
     for k in sorted({1, lookahead - 1, lookahead, lookahead + 1, 40}):
         assert full.history[k] == run(k).history[-1]
-
-
-def test_full_batch_training_history_is_unchanged():
-    X, A = _separable_set(seed=21, n=24)
-    cfg = scorer.TrainConfig(hidden_dims=(4,), max_iters=8, batch_size=None, seed=6,
-                             temperature=1.0, anneal_factor=0.5)
-    result = scorer.train(X, A, cfg)
-    assert [row.iteration for row in result.history] == list(range(9))
-    # rel 1e-12 leaves room for other BLAS kernels; a wrong iterate is off by far more
-    for row, (loss, cutoff) in zip(result.history, FULL_BATCH_HISTORY):
-        assert row.loss == pytest.approx(loss, rel=1e-12)
-        assert row.cutoff == pytest.approx(cutoff, rel=1e-12)
-    assert result.best_iteration == 8
-    assert result.network.cutoff == pytest.approx(FULL_BATCH_HISTORY[-1][1], rel=1e-12)
-    assert result.network.temperature == 0.125
 
 
 def test_minibatch_training_history_is_unchanged():
@@ -429,14 +390,17 @@ def test_training_observations_run_under_the_callers_errstate(monkeypatch):
         return observe(*args)
 
     monkeypatch.setattr(scorer, "_observe", recording)
-    X, A = _separable_set(seed=13, n=20)
-    with np.errstate(all="ignore"):
-        scorer.train(X, A, scorer.TrainConfig(hidden_dims=(4,), max_iters=10, seed=0))
-    assert len(seen) == 11
-    # the calling thread only takes the steps; the pool runs every observation
-    assert not any(on_caller for on_caller, _ in seen)
     ignore_all = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
-    assert all(state == ignore_all for _, state in seen)
+    # 20 rows take 16-row minibatches; 12 rows, at most one batch, step on all rows
+    for n in (20, 12):
+        X, A = _separable_set(seed=13, n=n)
+        seen.clear()
+        with np.errstate(all="ignore"):
+            scorer.train(X, A, scorer.TrainConfig(hidden_dims=(4,), max_iters=10, seed=0))
+        assert len(seen) == 11
+        # the calling thread only takes the steps; the pool runs every observation
+        assert not any(on_caller for on_caller, _ in seen)
+        assert all(state == ignore_all for _, state in seen)
 
 
 def test_naive_scores_are_row_norms():
