@@ -10,12 +10,19 @@ score_rows is that rule on a batch of rows: one PCA projection and one
 network pass give each row's reconstruction error, score, flag and location.
 detect_batch runs the loop on a whole batch of windows at once, with one
 score_rows pass per iteration over the rows that are still flagged.
-Imputation and the per-row bookkeeping stay row by row. detect_iterative is
-detect_batch on a single row.
+Imputation and the per-row bookkeeping stay row by row.
+
+detect_iterative runs the same loop on one window as a vector, with no batch
+around it: reconstruction_errors and forward take the 1-D row directly. Its
+report is bit for bit detect_batch's on the one-row batch. The same row inside
+a larger batch agrees only to round-off, because BLAS sums a batch (gemm) in
+another order than one row (gemv), so a score within a few ulp of the cut-off
+can flag on one side and not the other.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +83,10 @@ def impute(X_row, location, method, pca: pcafeat.PcaModel = None):
     """
     row = np.asarray(X_row, dtype=float).ravel().copy()
     p = row.size
-    location = int(location)
+    try:
+        location = operator.index(location)
+    except TypeError:
+        raise ValueError(f"location must be an integer, got {location!r}") from None
     if not 1 <= location <= p:
         raise ValueError(f"location must lie in 1..{p}, got {location}")
     j = location - 1
@@ -152,5 +162,30 @@ def detect_batch(model: DetectionModel, X, method=DEFAULT_METHOD,
 
 def detect_iterative(model: DetectionModel, X_row, method=DEFAULT_METHOD,
                      max_iter=DEFAULT_MAX_ITER) -> DetectionReport:
-    """detect_batch on one window row."""
-    return detect_batch(model, np.ravel(X_row)[None, :], method=method, max_iter=max_iter)[0]
+    """detect_batch's loop on one window row, scored as a vector.
+
+    Same rules: the strict cut-off, argmax |epsilon| with ties to the smallest
+    index, the repeated-location stop and max_iter. The report owns its row.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    row = np.array(np.ravel(X_row), dtype=float)
+    cutoff = model.net.cutoff
+    epsilon = pcafeat.reconstruction_errors(model.pca, row).epsilon
+    first = score = scorer.forward(model.net, epsilon)
+    locations, iterations, repeated = [], 0, False
+    while score > cutoff:
+        iterations += 1
+        location = int(np.abs(epsilon).argmax()) + 1
+        if location in locations:
+            repeated = True
+            break
+        locations.append(location)
+        row = impute(row, location, method, pca=model.pca)
+        if iterations == max_iter:
+            break
+        epsilon = pcafeat.reconstruction_errors(model.pca, row).epsilon
+        score = scorer.forward(model.net, epsilon)
+    return DetectionReport(pred_label=int(first > cutoff), score=first, locations=locations,
+                           imputed_series=row, iterations_used=iterations,
+                           repeated_location=repeated)

@@ -8,9 +8,10 @@ distinct value of a block of rows once and joins the cached strings, and
 `read_panel` parses every value with one `np.loadtxt` call fed row by row
 from the open file, so a panel read holds one line besides its n x T float
 array. Readers raise ValueError on malformed content, including non-finite
-numbers, and OSError on filesystem problems; the CLI maps those to its exit
-codes. JSON reports write non-finite floats as null, never as bare NaN or
-Infinity.
+numbers and a PCA model that is not a basis (k outside 1..p, negative or
+ascending eigenvalues, omega rows not orthonormal to 1e-9), and OSError on
+filesystem problems; the CLI maps those to its exit codes. JSON reports
+write non-finite floats as null, never as bare NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ PCA_FORMAT_TAG = "panelscan-pca v1"
 NET_FORMAT_TAG = "panelscan-net v1"
 _FLOAT_FMT = ".17g"
 _PANEL_BLOCK_ROWS = 256  # rows formatted together by write_panel
+_ORTHONORMAL_TOL = 1e-9  # largest |Omega Omega^T - I| entry a stored basis may show
 
 
 def _fmt(value):
@@ -319,6 +321,8 @@ def read_pca_model(path) -> PcaModel:
     try:
         k = int(_split_tagged(lines[1], "k", path, 1)[0])
         p = int(_split_tagged(lines[2], "p", path, 1)[0])
+        if not 1 <= k <= p:
+            raise ValueError(f"{path}: k must lie in 1..{p}, got {k}")
         mean = np.asarray(_split_tagged(lines[3], "mean", path, p))
         eigenvalues = np.asarray(_split_tagged(lines[4], "eigenvalues", path, k))
         if lines[5] != "omega":
@@ -338,8 +342,23 @@ def read_pca_model(path) -> PcaModel:
         raise ValueError(f"{path}: unexpected line {lines[6 + k]!r} after the {k} omega rows")
     if omega.shape != (k, p):
         raise ValueError(f"{path}: omega shape {omega.shape} != ({k}, {p})")
-    return PcaModel(mean=_finite(mean, path, "mean"), omega=_finite(omega, path, "omega"),
-                    eigenvalues=_finite(eigenvalues, path, "eigenvalues"), k=k)
+    model = PcaModel(mean=_finite(mean, path, "mean"), omega=_finite(omega, path, "omega"),
+                     eigenvalues=_finite(eigenvalues, path, "eigenvalues"), k=k)
+    _require_basis(model, path)
+    return model
+
+
+def _require_basis(model: PcaModel, path):
+    """ValueError unless omega's rows are orthonormal and the eigenvalues sorted and >= 0."""
+    eigenvalues = model.eigenvalues
+    if np.any(eigenvalues < 0.0):
+        raise ValueError(f"{path}: negative eigenvalue {eigenvalues.min()!r}")
+    if np.any(np.diff(eigenvalues) > 0.0):
+        raise ValueError(f"{path}: eigenvalues must be non-increasing")
+    gap = float(np.abs(model.omega @ model.omega.T - np.eye(model.k)).max())
+    if gap > _ORTHONORMAL_TOL:
+        raise ValueError(f"{path}: omega rows are not orthonormal "
+                         f"(max |Omega Omega^T - I| = {gap:.1e} > {_ORTHONORMAL_TOL:.0e})")
 
 
 def write_network(path, net: ScoringNetwork):

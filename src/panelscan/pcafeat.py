@@ -34,7 +34,7 @@ class PcaModel:
 
 @dataclass
 class FeatureMatrix:
-    epsilon: np.ndarray  # n x p reconstruction errors
+    epsilon: np.ndarray  # n x p reconstruction errors; length p for one row
 
 
 def _eigh_descending(cov):
@@ -84,16 +84,12 @@ def fit_pca(X_train, k) -> PcaModel:
 
 
 def reconstruction_errors(model: PcaModel, X) -> FeatureMatrix:
-    """epsilon = X_c (Omega^T Omega - I) on rows centered by the training means."""
+    """epsilon = X_c (Omega^T Omega - I) on rows centered by the training means.
+
+    A 1-D row runs the same chain as a vector and gives a 1-D epsilon.
+    """
     X = np.asarray(X, dtype=float)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != model.window_length:
+    if X.ndim not in (1, 2) or X.shape[-1] != model.window_length:
         raise ValueError(f"expected rows of length {model.window_length}, got shape {X.shape}")
     centered = X - model.mean
-    epsilon = (centered @ model.omega.T) @ model.omega - centered
-    if squeeze:
-        epsilon = epsilon[0]
-    return FeatureMatrix(epsilon=epsilon)
-
+    return FeatureMatrix(epsilon=(centered @ model.omega.T) @ model.omega - centered)

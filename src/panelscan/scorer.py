@@ -122,26 +122,35 @@ def _forward_cached(net, batch):
 def forward(net: ScoringNetwork, epsilon):
     """Score reconstruction-error rows; scalar for a single row.
 
-    Hidden layers run unit-major, W @ a^T with activations stored as
-    units x rows, on a column-major view of the batch (a C-ordered batch is
+    A 1-D row runs as a vector: W @ a + b and ReLU per hidden layer, then the
+    output row dotted with the last activation. Its bits are those of the
+    row-major chain a @ W^T + b on the one-row batch, whatever the row's
+    memory layout.
+
+    A batch runs its hidden layers unit-major, W @ a^T with activations stored
+    as units x rows, on a column-major view of the batch (a C-ordered batch is
     copied once), so the scores do not depend on the input's memory layout.
     The single-unit output layer reads a C-contiguous row-major copy of the
-    last hidden activation. A single row gives bits identical to the
-    row-major chain a @ W^T + b; a batch agrees with it to round-off.
+    last hidden activation. A batch agrees with the row-major chain to
+    round-off.
     """
     batch = np.asarray(epsilon, dtype=float)
-    squeeze = batch.ndim == 1
-    if squeeze:
-        batch = batch[None, :]
-    if batch.ndim != 2 or batch.shape[1] != net.layer_dims[0]:
+    if batch.ndim not in (1, 2) or batch.shape[-1] != net.layer_dims[0]:
         raise ValueError(f"expected rows of length {net.layer_dims[0]}, got shape {batch.shape}")
+    if batch.ndim == 1:
+        a = np.ascontiguousarray(batch)  # BLAS dot sums a strided row in another order
+        for W, b in zip(net.weights[:-1], net.biases[:-1]):
+            z = W @ a
+            z += b
+            a = np.maximum(z, 0.0, out=z)
+        return float(a @ net.weights[-1][0] + net.biases[-1][0])
     a = np.asfortranarray(batch).T
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         z = W @ a
         z += b[:, None]
         a = np.maximum(z, 0.0, out=z)
     scores = np.ascontiguousarray(a.T) @ net.weights[-1].T + net.biases[-1]
-    return float(scores[0, 0]) if squeeze else scores[:, 0]
+    return scores[:, 0]
 
 
 def _require_both_classes(labels):

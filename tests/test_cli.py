@@ -319,8 +319,14 @@ def test_label_location_beyond_the_window_exits_3(workdir, tmp_path, capsys, com
     assert not list(out.iterdir())
 
 
+def _shift_first_omega_value(lines):
+    values = lines[6].split()
+    return lines[:6] + [" ".join([repr(float(values[0]) + 0.01), *values[1:]])] + lines[7:]
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("pca.txt", lambda lines: lines[:7] + lines[6:], "after the 12 omega rows"),
+    ("pca.txt", _shift_first_omega_value, "omega rows are not orthonormal"),
     ("net.txt", lambda lines: lines + lines[-1:], "after b2"),
     ("labels_test.csv", lambda lines: lines[:2] + ["0x10" + lines[2][1:]] + lines[3:],
      "row_id '0x10' where 1 belongs"),

@@ -125,6 +125,15 @@ def test_impute_validation():
         detector.impute(row, 1, "ffill")
 
 
+def test_impute_refuses_a_location_that_is_not_an_integer():
+    row = np.array([1.0, 2.0, 3.0, 4.0])
+    for location in (3.7, 3.0, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="location must be an integer"):
+            detector.impute(row, location, "BF")
+    # argmax hands back numpy integers
+    np.testing.assert_array_equal(detector.impute(row, np.int64(3), "BF"), [1.0, 2.0, 2.0, 4.0])
+
+
 def test_detect_iterative_removes_planted_anomalies():
     model, X = _planted_model(seed=3)
     window = X[5].copy()
@@ -298,3 +307,36 @@ def test_detect_panel_matches_a_per_window_loop():
         flags = workflows.detect_panel(model, prices, stride=stride, min_votes=min_votes)
         assert expected.sum() > 0
         np.testing.assert_array_equal(flags, expected)
+
+
+def _scan_width_model(seed):
+    """A 206-wide model as the scan workload runs it: PCA on random-walk
+    windows and an untrained 206 -> 64 -> 32 -> 1 network."""
+    rng = np.random.default_rng(seed)
+    walks = 100.0 + np.cumsum(rng.standard_normal((30, 400)), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(walks, 206, axis=1)[:, ::20]
+    windows = windows.reshape(-1, 206)
+    pca = pcafeat.fit_pca(windows, k=40)
+    net = scorer._init_network(206, (64, 32), rng)
+    return detector.DetectionModel(pca=pca, net=net), _spiked_rows(windows, seed + 1)
+
+
+@pytest.mark.parametrize("method", detector.IMPUTATION_METHODS)
+def test_detect_iterative_is_the_one_row_batch_at_scan_width(method):
+    model, rows = _scan_width_model(seed=13)
+    scores = [scorer.forward(model.net, pcafeat.reconstruction_errors(model.pca, row).epsilon)
+              for row in rows]
+    model.net.cutoff = float(np.quantile(scores, 0.3))
+    iterations = set()
+    for row in rows:
+        epsilon = pcafeat.reconstruction_errors(model.pca, row).epsilon
+        assert scorer.forward(model.net, epsilon) == scorer.forward(model.net, epsilon[None, :])[0]
+        got = detector.detect_iterative(model, row, method=method)
+        want = detector.detect_batch(model, row[None, :], method=method)[0]
+        assert got.pred_label == want.pred_label and got.score == want.score
+        assert got.locations == want.locations
+        assert np.array_equal(got.imputed_series, want.imputed_series)
+        assert got.iterations_used == want.iterations_used
+        assert got.repeated_location == want.repeated_location
+        iterations.add(got.iterations_used)
+    assert {0, 1, detector.DEFAULT_MAX_ITER} <= iterations

@@ -614,6 +614,41 @@ def test_read_pca_model_refuses_lines_after_omega(tmp_path, extra):
         io.read_pca_model(path)
 
 
+def _shift_one_omega_value(model):
+    model.omega[1, 2] += 0.01
+
+
+def _ascending_eigenvalues(model):
+    model.eigenvalues = model.eigenvalues[::-1].copy()
+
+
+def _negative_eigenvalue(model):
+    model.eigenvalues[-1] = -model.eigenvalues[-1]
+
+
+def _k_beyond_p(model):
+    model.k = 7
+    model.omega = np.vstack([model.omega, np.zeros((5, 6))])
+    model.eigenvalues = np.concatenate([model.eigenvalues, np.zeros(5)])
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_shift_one_omega_value, "omega rows are not orthonormal"),
+    (_ascending_eigenvalues, "eigenvalues must be non-increasing"),
+    (_negative_eigenvalue, "negative eigenvalue"),
+    (_k_beyond_p, "k must lie in 1..6, got 7"),
+], ids=["omega-shifted", "eigenvalues-ascending", "eigenvalue-negative", "k-beyond-p"])
+def test_read_pca_model_refuses_a_basis_that_is_not_one(tmp_path, damage, message):
+    model = pcafeat.fit_pca(_rng_matrix((30, 6), 21), k=2)
+    path = tmp_path / "pca.txt"
+    io.write_pca_model(path, model)
+    assert io.read_pca_model(path).k == 2
+    damage(model)
+    io.write_pca_model(path, model)
+    with pytest.raises(ValueError, match=message):
+        io.read_pca_model(path)
+
+
 def _toy_network():
     rng = np.random.default_rng(33)
     dims = [4, 3, 1]

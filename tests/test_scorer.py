@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
-from panelscan import density, scorer
+from panelscan import density, pcafeat, scorer
 
 # symmetric two-row case: scores 0/0 at s=0 gives BCE ln 2 and AUC 0.5 + 0.5
 SYMMETRIC_LOSS = 1.6931471805599453
@@ -111,6 +111,27 @@ def test_forward_batch_is_bit_identical_across_memory_layouts():
             assert np.array_equal(scorer.forward(net, batch), expected)
         np.testing.assert_allclose(expected, _row_major_chain(net, strided),
                                    rtol=1e-13, atol=1e-13)
+
+
+def test_forward_single_row_is_bit_identical_across_memory_layouts():
+    # the vector branch sees a strided row of an F-ordered array and an
+    # overlapping row of a sliding-window view; both must give the bits of
+    # a contiguous copy, through the PCA features and through the network
+    # (one without hidden layers too, where the row meets the output dot)
+    nets = (_toy_net([206, 64, 32, 1], seed=5), _toy_net([206, 1], seed=7))
+    rng = np.random.default_rng(6)
+    series = 100.0 + np.cumsum(rng.standard_normal(900))
+    sliding = np.lib.stride_tricks.sliding_window_view(series, 206)
+    pca = pcafeat.fit_pca(sliding[::3], k=40)
+    fortran = np.asfortranarray(sliding[::7])
+    for i in range(0, 90, 9):
+        for row in (fortran[i], sliding[7 * i]):
+            copy = np.ascontiguousarray(row)
+            eps = pcafeat.reconstruction_errors(pca, row).epsilon
+            assert np.array_equal(eps, pcafeat.reconstruction_errors(pca, copy).epsilon)
+            for net in nets:
+                expected = _row_major_chain(net, copy[None, :])[0]
+                assert scorer.forward(net, row) == scorer.forward(net, copy) == expected
 
 
 def test_forward_validates_width():
