@@ -93,9 +93,13 @@ def _coerce_like(action, raw, key):
         raise InputError(f"config key {key!r} expects a boolean, got {raw!r}")
     caster = action.type if action.type is not None else str
     try:
-        return caster(raw)
+        value = caster(raw)
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise InputError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InputError(f"config key {key!r}: invalid choice {raw!r} "
+                         f"(choose from {', '.join(map(str, action.choices))})")
+    return value
 
 
 def _apply_config(args, argv, parsers, config):
@@ -333,21 +337,22 @@ def cmd_bench(args):
             for i, seed in enumerate(seeds)])
     _say(args, f"wrote {runs_path}")
     if args.buckets:
-        ratios = np.zeros(4)
+        ratios = [[] for _ in range(4)]  # per bucket, the runs where it holds rows
         edges = []
         for result in runs:
             amplitudes, ident_correct, _ = workflows.amplitude_records(result)
             buckets = evaluation.amplitude_sensitivity(amplitudes, ident_correct)
-            ratios += np.array([b.ratio if b.ratio is not None else 0.0 for b in buckets])
+            for held, b in zip(ratios, buckets):
+                if b.ratio is not None:
+                    held.append(b.ratio)
             edges.append([(b.low, b.high) for b in buckets])
-        ratios /= len(runs)
         buckets_path = _out_path(args, args.buckets)
         _write(io.write_rows, buckets_path,
                ["bucket", "mean_low", "mean_high", "mean_ratio"],
                [(i + 1,
                  float(np.mean([e[i][0] for e in edges])),
                  float(np.mean([e[i][1] for e in edges])),
-                 ratios[i]) for i in range(4)])
+                 sum(ratios[i]) / len(ratios[i]) if ratios[i] else "") for i in range(4)])
         _say(args, f"wrote {buckets_path}")
     return 0
 

@@ -17,8 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 BANDWIDTH_FLOOR = 1e-6
-DEFAULT_ETA = 1e-3
-DEFAULT_GRID = 1024
+CUTOFF_GRID_POINTS = 1024  # points in intersection_cutoff's search grid
 _GRID_BLOCK = 64  # grid points evaluated together by pdf, auc_above and auc_below
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -28,13 +27,6 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 class KdeModel:
     samples: np.ndarray
     bandwidth: float
-
-
-@dataclass
-class CutoffResult:
-    cutoff: float
-    gap: float          # |f_u - f_c| at the cutoff
-    within_band: bool   # gap < eta
 
 
 def silverman_bandwidth(samples):
@@ -57,19 +49,15 @@ def silverman_bandwidth(samples):
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
-def fit_kde(samples, bandwidth_rule="silverman") -> KdeModel:
+def fit_kde(samples) -> KdeModel:
+    """Gaussian KDE of the flattened samples with Silverman's bandwidth.
+
+    For a fixed bandwidth, build KdeModel(samples, bandwidth) directly.
+    """
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
-    if isinstance(bandwidth_rule, str):
-        if bandwidth_rule != "silverman":
-            raise ValueError(f"unknown bandwidth rule {bandwidth_rule!r}")
-        bandwidth = silverman_bandwidth(samples)
-    else:
-        bandwidth = float(bandwidth_rule)
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-    return KdeModel(samples=samples.copy(), bandwidth=bandwidth)
+    return KdeModel(samples=samples.copy(), bandwidth=silverman_bandwidth(samples))
 
 
 def _on_grid(x, row_values):
@@ -110,31 +98,18 @@ def auc_below(model: KdeModel, s):
                                            / model.bandwidth).mean(axis=1))
 
 
-def intersection_cutoff(f_u: KdeModel, f_c: KdeModel, eta=DEFAULT_ETA, grid=DEFAULT_GRID) -> CutoffResult:
+def intersection_cutoff(f_u: KdeModel, f_c: KdeModel) -> float:
     """Cut-off at the crossing of the two class densities.
 
-    The grid point minimizing auc_above(f_u, s) + auc_below(f_c, s) is
-    returned; at interior crossings this is exactly where f_u = f_c (the
-    objective's derivative is f_c - f_u), and unlike a direct argmin of
-    |f_u - f_c| it cannot drift into the far tails where both densities
-    vanish. The eta band is kept as a diagnostic: within_band is False when
-    the density gap at the chosen point is >= eta.
+    Of CUTOFF_GRID_POINTS evenly spaced points over the pooled sample range
+    (one point when all samples are equal), returns the one that minimizes
+    auc_above(f_u, s) + auc_below(f_c, s). At interior crossings this is
+    exactly where f_u = f_c (the objective's derivative is f_c - f_u), and
+    unlike a direct argmin of |f_u - f_c| it cannot drift into the far tails
+    where both densities vanish.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if np.isscalar(grid) or np.asarray(grid).ndim == 0:
-        n_points = int(grid)
-        if n_points < 1:
-            raise ValueError("grid must hold at least one point")
-        lo = min(f_u.samples.min(), f_c.samples.min())
-        hi = max(f_u.samples.max(), f_c.samples.max())
-        points = np.linspace(lo, hi, n_points) if hi > lo else np.array([lo])
-    else:
-        points = np.sort(np.asarray(grid, dtype=float).ravel())
-        if points.size == 0:
-            raise ValueError("grid must hold at least one point")
+    lo = min(f_u.samples.min(), f_c.samples.min())
+    hi = max(f_u.samples.max(), f_c.samples.max())
+    points = np.linspace(lo, hi, CUTOFF_GRID_POINTS) if hi > lo else np.array([lo])
     stray_mass = auc_above(f_u, points) + auc_below(f_c, points)
-    best = int(np.argmin(stray_mass))
-    cutoff = float(points[best])
-    gap = abs(pdf(f_u, cutoff) - pdf(f_c, cutoff))
-    return CutoffResult(cutoff=cutoff, gap=gap, within_band=bool(gap < eta))
+    return float(points[int(np.argmin(stray_mass))])

@@ -21,6 +21,7 @@ from scipy.special import ndtr
 
 ROBUSTNESS_SHOCKS = (-2.0, -1.0, -0.1, -0.01, -0.001, -0.0001,
                      0.0, 0.0001, 0.001, 0.01, 0.1, 1.0, 2.0)
+PRC_GRID_SIZE = 512  # most cut-offs a precision-recall curve keeps
 
 
 @dataclass
@@ -123,8 +124,8 @@ def localization_metrics(L, L_hat) -> MetricsReport:
     )
 
 
-def precision_recall_curve(scores, A, grid_size=512) -> PrcCurve:
-    """PRC over unique score cut-offs, subsampled to grid_size.
+def precision_recall_curve(scores, A) -> PrcCurve:
+    """PRC over unique score cut-offs, subsampled to PRC_GRID_SIZE.
 
     A sentinel below the minimum score anchors recall at 1; an empty
     prediction set takes the curve convention precision = 1 so a perfect
@@ -137,8 +138,8 @@ def precision_recall_curve(scores, A, grid_size=512) -> PrcCurve:
     if not (np.any(A == 1) and np.any(A == 0)):
         raise ValueError("both classes required")
     thresholds = np.unique(scores)
-    if thresholds.size > grid_size:
-        keep = np.round(np.linspace(0, thresholds.size - 1, grid_size)).astype(int)
+    if thresholds.size > PRC_GRID_SIZE:
+        keep = np.round(np.linspace(0, thresholds.size - 1, PRC_GRID_SIZE)).astype(int)
         thresholds = thresholds[np.unique(keep)]
     thresholds = np.concatenate([[thresholds[0] - 1.0], thresholds])
     n_pos = int(np.sum(A == 1))
@@ -315,15 +316,15 @@ def aggregate(runs):
     return mean, std
 
 
-def cutoff_robustness(scores, cutoff, A, shocks=ROBUSTNESS_SHOCKS):
-    """Identification metrics of the scores after shifting the cut-off by gamma."""
-    shocks = [float(g) for g in shocks]
-    if not all(np.isfinite(shocks)):
-        raise ValueError("shocks must be finite")
+def cutoff_robustness(scores, cutoff, A):
+    """Identification metrics of the scores after shifting the cut-off by gamma.
+
+    One (gamma, MetricsReport) pair per gamma in ROBUSTNESS_SHOCKS, in order.
+    """
     scores = np.asarray(scores, dtype=float).ravel()
     A = np.asarray(A).ravel()
     return [(gamma, classification_metrics(A, (scores > cutoff + gamma).astype(np.int64)))
-            for gamma in shocks]
+            for gamma in ROBUSTNESS_SHOCKS]
 
 
 def amplitude_sensitivity(amplitudes, correct):

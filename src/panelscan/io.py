@@ -8,8 +8,9 @@ distinct value of a block of rows once and joins the cached strings, and
 `read_panel` parses every value with one `np.loadtxt` call fed row by row
 from the open file, so a panel read holds one line besides its n x T float
 array. Readers raise ValueError on malformed content, including non-finite
-numbers and a PCA model that is not a basis (k outside 1..p, negative or
-ascending eigenvalues, omega rows not orthonormal to 1e-9), and OSError on
+numbers, a model count (k, p, dims) that is not written in decimal digits,
+and a PCA model that is not a basis (k outside 1..p, negative or ascending
+eigenvalues, omega rows not orthonormal to 1e-9), and OSError on
 filesystem problems; the CLI maps those to its exit codes. JSON reports
 write non-finite floats as null, never as bare NaN or Infinity.
 """
@@ -59,6 +60,13 @@ def _parse_float(text, path, what):
         return float(text)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed {what} {text!r}") from exc
+
+
+def _parse_count(text, path, what):
+    """A count as the writers write it: ASCII decimal digits only, so never 2.0 or 1e1."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{path}: malformed {what} {text!r}; expected a whole number")
+    return int(text)
 
 
 def _finite(values, path, what):
@@ -303,11 +311,11 @@ def write_pca_model(path, model: PcaModel):
             handle.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def _split_tagged(line, tag, path, count=None):
+def _split_tagged(line, tag, path, count=None, parse=_parse_float):
     parts = line.split()
     if not parts or parts[0] != tag:
         raise ValueError(f"{path}: expected a {tag!r} line, got {line!r}")
-    values = [_parse_float(v, path, tag) for v in parts[1:]]
+    values = [parse(v, path, tag) for v in parts[1:]]
     if count is not None and len(values) != count:
         raise ValueError(f"{path}: {tag} needs {count} values, got {len(values)}")
     return values
@@ -319,8 +327,8 @@ def read_pca_model(path) -> PcaModel:
     if not lines or lines[0] != PCA_FORMAT_TAG:
         raise ValueError(f"{path}: not a {PCA_FORMAT_TAG} file")
     try:
-        k = int(_split_tagged(lines[1], "k", path, 1)[0])
-        p = int(_split_tagged(lines[2], "p", path, 1)[0])
+        k = _split_tagged(lines[1], "k", path, 1, _parse_count)[0]
+        p = _split_tagged(lines[2], "p", path, 1, _parse_count)[0]
         if not 1 <= k <= p:
             raise ValueError(f"{path}: k must lie in 1..{p}, got {k}")
         mean = np.asarray(_split_tagged(lines[3], "mean", path, p))
@@ -381,7 +389,7 @@ def read_network(path) -> ScoringNetwork:
     if not lines or lines[0] != NET_FORMAT_TAG:
         raise ValueError(f"{path}: not a {NET_FORMAT_TAG} file")
     try:
-        dims = [int(v) for v in _split_tagged(lines[1], "dims", path)]
+        dims = _split_tagged(lines[1], "dims", path, parse=_parse_count)
         tau = _split_tagged(lines[2], "tau", path, 1)[0]
         s = _split_tagged(lines[3], "s", path, 1)[0]
         if len(dims) < 2 or dims[-1] != 1:

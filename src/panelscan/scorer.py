@@ -447,11 +447,9 @@ def naive_scores(epsilon):
     return np.linalg.norm(eps, axis=1)
 
 
-def naive_fit(epsilon_train, A_train, eta=density.DEFAULT_ETA):
+def naive_fit(epsilon_train, A_train):
     """Cut-off at the crossing of the class-conditional naive score densities."""
     labels = np.asarray(A_train)
     scores = naive_scores(epsilon_train)
     scores_u, scores_c = _class_split(np.atleast_1d(scores), labels)
-    f_u = density.fit_kde(scores_u)
-    f_c = density.fit_kde(scores_c)
-    return density.intersection_cutoff(f_u, f_c, eta=eta).cutoff
+    return density.intersection_cutoff(density.fit_kde(scores_u), density.fit_kde(scores_c))

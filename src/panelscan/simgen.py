@@ -23,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BANDS = {
-    "drift_range": (0.01, 0.2),
-    "vol_range": (0.01, 0.1),
-}
+# Per-stock parameters simulate_gbm draws: S0 ~ N(S0_MEAN, S0_STD^2),
+# mu ~ U(DRIFT_RANGE), sigma ~ U(VOL_RANGE).
+DRIFT_RANGE = (0.01, 0.2)
+VOL_RANGE = (0.01, 0.1)
+S0_MEAN = 100.0
+S0_STD = 1.0
 
 
 @dataclass
@@ -36,10 +38,6 @@ class DiffusionConfig:
     dt: float = 1.0 / 1000.0  # year-fraction per step; keeps drift-driven level
                               # growth over a 1500-step panel mild (< e^0.3), so
                               # windows far apart in time stay comparable
-    drift_range: tuple = _BANDS["drift_range"]
-    vol_range: tuple = _BANDS["vol_range"]
-    s0_mean: float = 100.0
-    s0_std: float = 1.0
     correlation: object = 0.5  # constant off-diagonal value or explicit matrix
     seed: int = 0
 
@@ -116,17 +114,6 @@ def _correlation_root(mat):
         return eigvecs @ np.diag(np.sqrt(eigvals)) @ eigvecs.T
 
 
-def _validate_diffusion(config):
-    if config.n_stocks < 1:
-        raise ValueError("n_stocks must be >= 1")
-    for name in ("drift_range", "vol_range"):
-        lo, hi = getattr(config, name)
-        if hi < lo:
-            raise ValueError(f"{name} is inverted: ({lo}, {hi})")
-    if config.vol_range[0] < 0:
-        raise ValueError("volatility cannot be negative")
-
-
 def _stock_streams(seed, n_stocks):
     return [np.random.default_rng([seed, i]) for i in range(n_stocks)]
 
@@ -170,15 +157,16 @@ def simulate_gbm(config: DiffusionConfig) -> PricePanel:
     Parameters come first in each stock's stream (S0, mu, sigma, then the
     Gaussian shocks), so a path is reproducible from (seed, stock index) alone.
     """
-    _validate_diffusion(config)
+    if config.n_stocks < 1:
+        raise ValueError("n_stocks must be >= 1")
     streams = _stock_streams(config.seed, config.n_stocks)
     s0 = np.empty(config.n_stocks)
     mu = np.empty(config.n_stocks)
     sigma = np.empty(config.n_stocks)
     for i, rng in enumerate(streams):
-        s0[i] = config.s0_mean + config.s0_std * rng.standard_normal()
-        mu[i] = rng.uniform(*config.drift_range)
-        sigma[i] = rng.uniform(*config.vol_range)
+        s0[i] = S0_MEAN + S0_STD * rng.standard_normal()
+        mu[i] = rng.uniform(*DRIFT_RANGE)
+        sigma[i] = rng.uniform(*VOL_RANGE)
     return _diffuse(s0, mu, sigma, config.correlation, config.dt, config.n_steps, streams)
 
 

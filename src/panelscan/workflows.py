@@ -22,6 +22,7 @@ from . import density, detector, evaluation, pcafeat, riskmetrics, scorer, simge
 
 DEFAULT_VAR_ALPHA = 0.99  # VaR confidence level
 DEFAULT_H_STEPS = 1  # return horizon in steps
+_MIN_VOTES = 2  # covering windows that must agree before detect_panel flags a stamp
 
 # Stable role tags for sub-stream derivation; values are arbitrary but frozen.
 _ROLES = {
@@ -237,54 +238,48 @@ def amplitude_records(result: PipelineResult):
     return amplitudes, ident_correct, loc_correct
 
 
-def adf_study(epsilon, lag_order=None):
+def adf_study(epsilon):
     """ADF on every reconstruction-error row; returns (p_values, rejection rate).
 
-    All rows go through evaluation's stacked ADF kernel, so each p-value is
-    bit for bit the one adf_test gives on that row alone.
+    Every row uses the Schwert lag order. All rows go through evaluation's
+    stacked ADF kernel, so each p-value is bit for bit the one adf_test gives
+    on that row alone.
     """
-    study = evaluation._adf_batch(epsilon, lag_order)
+    study = evaluation._adf_batch(epsilon)
     return study.p_values, float(np.mean(study.statistics < study.critical_5pct))
 
 
-def _cover_offsets(n_steps, p, stride):
-    # Stride-spaced covering; the last window is end-aligned.
-    offsets = list(range(0, n_steps - p + 1, stride))
+def _cover_offsets(n_steps, p):
+    # Offsets p // 2 apart (at least 1); the last window is end-aligned.
+    offsets = list(range(0, n_steps - p + 1, max(1, p // 2)))
     if offsets[-1] != n_steps - p:
         offsets.append(n_steps - p)
     return offsets
 
 
-def detect_panel(model: detector.DetectionModel, prices, method=detector.DEFAULT_METHOD,
-                 max_iter=detector.DEFAULT_MAX_ITER, stride=None, min_votes=2):
+def detect_panel(model: detector.DetectionModel, prices, method=detector.DEFAULT_METHOD):
     """Flag absolute anomaly stamps by consensus over overlapping windows.
 
-    Windows advance by stride (default p // 2, giving interior stamps two
-    looks); every window of every series goes through one detect_batch call,
-    and each window votes for the stamps it localizes. A stamp is flagged
-    once min_votes covering windows agree, capped by how many windows
-    actually cover it; a single window's noise argmax rarely repeats across
-    different window boundaries, so consensus suppresses the false stamps any
-    one window would contribute.
+    Windows advance by p // 2 (at least 1), giving interior stamps two looks;
+    every window of every series goes through one detect_batch call at the
+    default max_iter, and each window votes for the stamps it localizes. A
+    stamp is flagged once two covering windows agree, or once every window
+    covering it does where fewer than two cover it; a single window's noise
+    argmax rarely repeats across different window boundaries, so consensus
+    suppresses the false stamps any one window would contribute.
     """
     prices = np.atleast_2d(np.asarray(prices, dtype=float))
     n_stocks, n_steps = prices.shape
     p = model.pca.window_length
     if p > n_steps:
         raise ValueError(f"series length {n_steps} is shorter than the window {p}")
-    stride = max(1, p // 2) if stride is None else int(stride)
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if min_votes < 1:
-        raise ValueError("min_votes must be >= 1")
-    offsets = _cover_offsets(n_steps, p, stride)
+    offsets = _cover_offsets(n_steps, p)
     coverage = np.zeros(n_steps, dtype=np.int64)
     for off in offsets:
         coverage[off:off + p] += 1
-    required = np.minimum(min_votes, coverage)
+    required = np.minimum(_MIN_VOTES, coverage)
     windows = np.lib.stride_tricks.sliding_window_view(prices, p, axis=1)[:, offsets]
-    reports = detector.detect_batch(model, windows.reshape(-1, p),
-                                    method=method, max_iter=max_iter)
+    reports = detector.detect_batch(model, windows.reshape(-1, p), method=method)
     votes = np.zeros((n_stocks, n_steps), dtype=np.int64)
     for k, report in enumerate(reports):
         i, j = divmod(k, len(offsets))
@@ -361,23 +356,22 @@ def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, 
     return estimates, errors
 
 
-def var_run(result: PipelineResult, run_index, n_anom=4, alpha=DEFAULT_VAR_ALPHA,
-            h_steps=DEFAULT_H_STEPS, weights=None, method=detector.DEFAULT_METHOD) -> dict:
+def var_run(result: PipelineResult, run_index, n_anom=4) -> dict:
     """One VaR comparison run on a fresh panel with the calibrated parameters.
 
     Diffuses new paths with the same per-stock (s0, mu, sigma) the detector was
-    calibrated against, contaminates them, detects/imputes, and prices the
-    portfolio VaR from each series variant.
+    calibrated against, contaminates them, detects/imputes with the default
+    method, and prices the equal-weight portfolio's VaR at DEFAULT_VAR_ALPHA
+    over DEFAULT_H_STEPS from each series variant.
     """
     cfg = result.config
     base = result.data.clean_train
     clean, contaminated, truth = _fresh_panel(result, "var", run_index, n_anom)
-    pred = detect_panel(result.model, contaminated.prices, method=method)
-    portfolio = riskmetrics.Portfolio(
-        weights=np.full(cfg.n_stocks, 1.0 / cfg.n_stocks) if weights is None else weights)
+    pred = detect_panel(result.model, contaminated.prices)
+    portfolio = riskmetrics.Portfolio(weights=np.full(cfg.n_stocks, 1.0 / cfg.n_stocks))
     estimates, errors = var_estimates(
         clean.prices, contaminated.prices, truth, pred, base.mu, base.sigma,
-        cfg.correlation, base.dt, h_steps, portfolio, alpha, method=method)
+        cfg.correlation, base.dt, DEFAULT_H_STEPS, portfolio, DEFAULT_VAR_ALPHA)
     out = {f"var_{tag}": est.value for tag, est in estimates.items()}
     for tag, (absolute, relative) in errors.items():
         out[f"abs_err_{tag}"] = absolute
@@ -389,20 +383,17 @@ def var_run(result: PipelineResult, run_index, n_anom=4, alpha=DEFAULT_VAR_ALPHA
     return out
 
 
-def var_experiment(result: PipelineResult, n_anom=4, n_runs=50, alpha=DEFAULT_VAR_ALPHA,
-                   h_steps=DEFAULT_H_STEPS, weights=None,
-                   method=detector.DEFAULT_METHOD) -> evaluation.MultirunResult:
+def var_experiment(result: PipelineResult, n_anom=4, n_runs=50) -> evaluation.MultirunResult:
     """Mean/std of the five VaR figures and their errors over fresh panels."""
-    runner = partial(var_run, result, n_anom=n_anom, alpha=alpha, h_steps=h_steps,
-                     weights=weights, method=method)
-    return evaluation.multirun(runner, seeds=range(n_runs))
+    return evaluation.multirun(partial(var_run, result, n_anom=n_anom), seeds=range(n_runs))
 
 
-def imputation_run(result: PipelineResult, run_index, n_anom=4, h_steps=DEFAULT_H_STEPS) -> dict:
+def imputation_run(result: PipelineResult, run_index, n_anom=4) -> dict:
     """One imputation-quality run: impute at the true stamps, compare errors.
 
     Judges the imputation values themselves, so the true anomaly locations are
-    used; covariance errors are taken against the generating return covariance.
+    used; covariance errors of DEFAULT_H_STEPS returns are taken against the
+    generating return covariance.
     """
     cfg = result.config
     base = result.data.clean_train
@@ -412,10 +403,11 @@ def imputation_run(result: PipelineResult, run_index, n_anom=4, h_steps=DEFAULT_
         variants[method] = impute_panel(contaminated.prices, truth, method=method,
                                         pca=result.model.pca)
     sigma_ref = riskmetrics.theoretical_return_model(
-        base.mu, base.sigma, cfg.correlation, base.dt, h_steps).sigma
+        base.mu, base.sigma, cfg.correlation, base.dt, DEFAULT_H_STEPS).sigma
     out = {}
     for tag, prices in variants.items():
-        fitted = riskmetrics.estimate_params(riskmetrics.log_returns(prices, h_steps), h_steps)
+        fitted = riskmetrics.estimate_params(
+            riskmetrics.log_returns(prices, DEFAULT_H_STEPS), DEFAULT_H_STEPS)
         out[f"cov_err_{tag}"] = riskmetrics.cov_error(sigma_ref, fitted.sigma)
     for tag in ("anom",) + detector.IMPUTATION_METHODS:
         per_series = [riskmetrics.imputation_error(clean.prices[i], variants[tag][i], n_anom)
@@ -424,8 +416,8 @@ def imputation_run(result: PipelineResult, run_index, n_anom=4, h_steps=DEFAULT_
     return out
 
 
-def imputation_experiment(result: PipelineResult, n_anom=4, n_runs=100,
-                          h_steps=DEFAULT_H_STEPS) -> evaluation.MultirunResult:
+def imputation_experiment(result: PipelineResult, n_anom=4,
+                          n_runs=100) -> evaluation.MultirunResult:
     """Mean/std imputation and covariance errors over fresh contaminated panels."""
-    runner = partial(imputation_run, result, n_anom=n_anom, h_steps=h_steps)
-    return evaluation.multirun(runner, seeds=range(n_runs))
+    return evaluation.multirun(partial(imputation_run, result, n_anom=n_anom),
+                               seeds=range(n_runs))

@@ -328,6 +328,7 @@ def _shift_first_omega_value(lines):
     ("pca.txt", lambda lines: lines[:7] + lines[6:], "after the 12 omega rows"),
     ("pca.txt", _shift_first_omega_value, "omega rows are not orthonormal"),
     ("net.txt", lambda lines: lines + lines[-1:], "after b2"),
+    ("net.txt", lambda lines: [lines[0], lines[1] + ".0"] + lines[2:], "malformed dims '1.0'"),
     ("labels_test.csv", lambda lines: lines[:2] + ["0x10" + lines[2][1:]] + lines[3:],
      "row_id '0x10' where 1 belongs"),
 ])
@@ -439,7 +440,16 @@ def test_var_weights_row_without_two_fields_exits_2(workdir, tmp_path, capsys):
 # -- bench ---------------------------------------------------------------
 
 
-def test_bench_two_runs_summary(tmp_path):
+def test_bench_two_runs_summary(tmp_path, monkeypatch):
+    # Two amplitudes leave buckets 2 and 3 empty in run 0; [1, 1, 1, 2] leaves
+    # buckets 1 and 2 empty in run 1. A bucket's mean runs over the runs where
+    # it holds rows, and a bucket empty in every run gets an empty cell.
+    records = iter([
+        (np.array([1.0, 2.0]), np.array([True, False]), np.array([True, True])),
+        (np.array([1.0, 1.0, 1.0, 2.0]), np.array([False, True, False, True]),
+         np.array([True] * 4)),
+    ])
+    monkeypatch.setattr(workflows, "amplitude_records", lambda result: next(records))
     assert _run("bench", "--out-dir", tmp_path, "--quiet", "--runs", 2,
                 "--buckets", "buckets.csv", *SIM_FLAGS) == 0
     summary = io.read_json(tmp_path / "bench_summary.json")
@@ -453,7 +463,7 @@ def test_bench_two_runs_summary(tmp_path):
     assert runs_lines[0].startswith("seed,")
     buckets = (tmp_path / "buckets.csv").read_text().splitlines()
     assert buckets[0] == "bucket,mean_low,mean_high,mean_ratio"
-    assert len(buckets) == 5
+    assert [line.split(",")[3] for line in buckets[1:]] == ["1", "", "0.33333333333333331", "0.5"]
 
 
 def test_bench_single_run_exits_3(tmp_path):
@@ -496,18 +506,38 @@ def test_config_bad_value_exits_2(tmp_path):
                 "--quiet", *SIM_FLAGS) == 2
 
 
+def test_config_value_outside_the_choices_exits_2(workdir, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("method=bogus\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert _run("detect", "--config", config, "--out-dir", out, "--quiet",
+                "--windows", workdir / "windows_test.csv", *_model_flags(workdir)) == 2
+    assert "invalid choice 'bogus'" in capsys.readouterr().err
+    assert not list(out.iterdir())
+    config.write_text("method=LI\n")
+    assert _run("detect", "--config", config, "--out-dir", out, "--quiet",
+                "--windows", workdir / "windows_test.csv", *_model_flags(workdir)) == 0
+
+
 @pytest.mark.parametrize("command, dest, function, keyword", [
     ("detect", "max_iter", detector.detect_batch, "max_iter"),
     ("detect", "method", detector.detect_batch, "method"),
     ("var", "method", workflows.detect_panel, "method"),
     ("var", "method", workflows.var_estimates, "method"),
-    ("var", "alpha", workflows.var_run, "alpha"),
-    ("var", "h", workflows.var_run, "h_steps"),
 ])
 def test_parser_defaults_are_the_library_defaults(command, dest, function, keyword):
     _, parsers = cli.build_parser()
     library = inspect.signature(function).parameters[keyword].default
     assert parsers[command].get_default(dest) == library
+
+
+@pytest.mark.parametrize("dest, constant", [("alpha", "DEFAULT_VAR_ALPHA"),
+                                            ("h", "DEFAULT_H_STEPS")])
+def test_var_parser_defaults_are_the_workflow_constants(dest, constant):
+    # workflows.var_run prices at these constants
+    _, parsers = cli.build_parser()
+    assert parsers["var"].get_default(dest) == getattr(workflows, constant)
 
 
 def test_no_command_prints_help_and_exits_2(capsys):

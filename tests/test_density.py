@@ -11,7 +11,7 @@ INV_SQRT_2PI = 0.3989422804014327
 
 def test_single_kernel_peak_height():
     # one sample, bandwidth 1: the density at the sample is 1/sqrt(2 pi)
-    model = density.fit_kde([0.0], bandwidth_rule=1.0)
+    model = density.KdeModel(np.array([0.0]), 1.0)
     assert density.pdf(model, 0.0) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
     assert density.pdf(model, 1.0) == pytest.approx(INV_SQRT_2PI * np.exp(-0.5), rel=1e-12)
 
@@ -42,8 +42,7 @@ def test_tail_mass_matches_trapezoid_quadrature():
 
 def test_tail_mass_analytic_single_kernel():
     # one kernel at 0 with bandwidth 1: mass above s is the normal tail
-    model = density.fit_kde([0.0], bandwidth_rule=1.0)
-    from scipy.special import ndtr
+    model = density.KdeModel(np.array([0.0]), 1.0)
     for s in (-1.5, 0.0, 0.5, 2.0):
         assert density.auc_above(model, s) == pytest.approx(1.0 - ndtr(s), rel=1e-12)
 
@@ -77,54 +76,37 @@ def test_silverman_bandwidth_zero_iqr_falls_back_to_std():
 def test_fit_kde_validation():
     with pytest.raises(ValueError):
         density.fit_kde([])
-    with pytest.raises(ValueError):
-        density.fit_kde([1.0], bandwidth_rule="scott")
-    with pytest.raises(ValueError):
-        density.fit_kde([1.0], bandwidth_rule=-0.5)
     model = density.fit_kde([[1.0, 2.0], [3.0, 4.0]])
     assert model.samples.shape == (4,)
+    assert model.bandwidth == density.silverman_bandwidth([1.0, 2.0, 3.0, 4.0])
 
 
 def test_intersection_cutoff_between_separated_classes():
     rng = np.random.default_rng(4)
     low = density.fit_kde(rng.standard_normal(300) * 0.5)
     high = density.fit_kde(rng.standard_normal(300) * 0.5 + 4.0)
-    result = density.intersection_cutoff(low, high)
-    assert 1.0 < result.cutoff < 3.0
+    cutoff = density.intersection_cutoff(low, high)
+    assert 1.0 < cutoff < 3.0
     # equal-variance Gaussians cross at the midpoint of the means
-    assert result.cutoff == pytest.approx(2.0, abs=0.3)
-    assert result.gap < 0.05
+    assert cutoff == pytest.approx(2.0, abs=0.3)
+    assert abs(density.pdf(low, cutoff) - density.pdf(high, cutoff)) < 0.05
 
 
 def test_intersection_cutoff_minimizes_stray_mass():
     rng = np.random.default_rng(5)
     f_u = density.fit_kde(rng.standard_normal(128))
     f_c = density.fit_kde(rng.standard_normal(128) + 2.5)
-    result = density.intersection_cutoff(f_u, f_c)
+    cutoff = density.intersection_cutoff(f_u, f_c)
     objective = lambda s: density.auc_above(f_u, s) + density.auc_below(f_c, s)
-    best = objective(result.cutoff)
+    best = objective(cutoff)
     probe = np.linspace(-3.0, 6.0, 700)
     assert best <= objective(probe).min() + 1e-9
-
-
-def test_intersection_cutoff_explicit_grid_and_validation():
-    f_u = density.fit_kde([0.0, 0.1], bandwidth_rule=0.5)
-    f_c = density.fit_kde([2.0, 2.1], bandwidth_rule=0.5)
-    result = density.intersection_cutoff(f_u, f_c, grid=np.array([0.5, 1.05, 1.6]))
-    assert result.cutoff == 1.05
-    with pytest.raises(ValueError):
-        density.intersection_cutoff(f_u, f_c, eta=0.0)
-    with pytest.raises(ValueError):
-        density.intersection_cutoff(f_u, f_c, grid=0)
-    with pytest.raises(ValueError):
-        density.intersection_cutoff(f_u, f_c, grid=np.array([]))
 
 
 def test_degenerate_identical_samples_still_produce_cutoff():
     f_u = density.fit_kde(np.zeros(5))
     f_c = density.fit_kde(np.zeros(5))
-    result = density.intersection_cutoff(f_u, f_c)
-    assert result.cutoff == 0.0
+    assert density.intersection_cutoff(f_u, f_c) == 0.0
 
 
 def test_grid_evaluation_is_blocked_and_bit_identical(traced_peak):

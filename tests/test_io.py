@@ -649,6 +649,27 @@ def test_read_pca_model_refuses_a_basis_that_is_not_one(tmp_path, damage, messag
         io.read_pca_model(path)
 
 
+@pytest.mark.parametrize("kind, line, text", [
+    ("pca", 1, "k 2.0"),
+    ("pca", 2, "p 6e0"),
+    ("net", 1, "dims 4.0 3.9 1e0"),
+], ids=["pca-k", "pca-p", "net-dims"])
+def test_model_readers_refuse_a_count_that_is_not_a_whole_number(tmp_path, kind, line, text):
+    path = tmp_path / f"{kind}.txt"
+    if kind == "pca":
+        io.write_pca_model(path, pcafeat.fit_pca(_rng_matrix((30, 6), 21), k=2))
+        read = io.read_pca_model
+    else:
+        io.write_network(path, _toy_network())
+        read = io.read_network
+    read(path)
+    lines = path.read_text().splitlines()
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="expected a whole number"):
+        read(path)
+
+
 def _toy_network():
     rng = np.random.default_rng(33)
     dims = [4, 3, 1]

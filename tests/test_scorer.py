@@ -440,5 +440,5 @@ def test_naive_fit_matches_density_crossing():
     norms = scorer.naive_scores(eps)
     f_u = density.fit_kde(norms[A == 0])
     f_c = density.fit_kde(norms[A == 1])
-    assert cut == density.intersection_cutoff(f_u, f_c).cutoff
+    assert cut == density.intersection_cutoff(f_u, f_c)
     assert norms[A == 0].mean() < cut < norms[A == 1].mean()

@@ -30,8 +30,8 @@ def test_simulated_panel_shape_and_positivity():
     panel = simgen.simulate_gbm(cfg)
     assert panel.prices.shape == (5, 40)
     assert np.all(panel.prices > 0)
-    assert np.all((panel.mu >= cfg.drift_range[0]) & (panel.mu <= cfg.drift_range[1]))
-    assert np.all((panel.sigma >= cfg.vol_range[0]) & (panel.sigma <= cfg.vol_range[1]))
+    assert np.all((panel.mu >= simgen.DRIFT_RANGE[0]) & (panel.mu <= simgen.DRIFT_RANGE[1]))
+    assert np.all((panel.sigma >= simgen.VOL_RANGE[0]) & (panel.sigma <= simgen.VOL_RANGE[1]))
     assert panel.n_stocks == 5 and panel.n_steps == 40
 
 
@@ -50,9 +50,9 @@ def test_parameters_come_first_in_each_stream():
     panel = simgen.simulate_gbm(cfg)
     for i in range(3):
         rng = np.random.default_rng([11, i])
-        s0 = cfg.s0_mean + cfg.s0_std * rng.standard_normal()
-        mu = rng.uniform(*cfg.drift_range)
-        sigma = rng.uniform(*cfg.vol_range)
+        s0 = simgen.S0_MEAN + simgen.S0_STD * rng.standard_normal()
+        mu = rng.uniform(*simgen.DRIFT_RANGE)
+        sigma = rng.uniform(*simgen.VOL_RANGE)
         assert panel.s0[i] == s0
         assert panel.mu[i] == mu
         assert panel.sigma[i] == sigma
