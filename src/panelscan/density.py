@@ -29,12 +29,41 @@ class KdeModel:
     bandwidth: float
 
 
+def _quartiles(samples):
+    """(q75, q25) of n >= 2 samples, bit for bit np.percentile(samples, [75, 25]).
+
+    One partition over numpy's own kth set {0, n-1} and the two neighbours
+    of each virtual index q (n - 1), then numpy's linear rule: with t the
+    index's fraction, a + (b - a) t below t = 0.5 and b - (b - a)(1 - t)
+    from there on, as in its _lerp. A NaN anywhere, which the partition
+    puts last, makes both quartiles that NaN, as in numpy. This skips
+    np.percentile's argument handling, which costs ten times the partition
+    on a minibatch's class scores.
+    """
+    n = samples.size
+    v75, v25 = (n - 1) * 0.75, (n - 1) * 0.25
+    i75, i25 = int(v75), int(v25)
+    part = np.partition(samples, sorted({0, -1, i75, i75 + 1, i25, i25 + 1}))
+    last = part.item(-1)
+    if last != last:
+        return last, last
+    return (_lerp(part.item(i75), part.item(i75 + 1), v75 - i75),
+            _lerp(part.item(i25), part.item(i25 + 1), v25 - i25))
+
+
+def _lerp(a, b, t):
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def silverman_bandwidth(samples):
     """0.9 min(std, IQR/1.34) n^(-1/5), floored so degenerate samples stay usable.
 
     A zero IQR with a positive std (most samples tied) falls back to the std,
     as statsmodels' _select_sigma does; the floor is left for samples with
-    no spread at all.
+    no spread at all. The IQR comes from _quartiles, bit for bit
+    np.percentile's; training calls this twice per Adam step and twice per
+    full-set observation.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
@@ -43,7 +72,7 @@ def silverman_bandwidth(samples):
     if n == 1:
         return BANDWIDTH_FLOOR
     spread_std = np.std(samples, ddof=1)
-    q75, q25 = np.percentile(samples, [75.0, 25.0])
+    q75, q25 = _quartiles(samples)
     spread_iqr = (q75 - q25) / 1.34
     spread = min(spread_std, spread_iqr) if spread_iqr > 0.0 else spread_std
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)

@@ -269,6 +269,7 @@ def write_labels(path, A, L):
 
 
 def read_labels(path):
+    """(A, L) from a label CSV; A and L only as write_labels writes them, in ASCII digits."""
     rows = _read_rows(path)
     if not rows or rows[0] != ["row_id", "A", "L"]:
         raise ValueError(f"{path}: expected header row_id,A,L")
@@ -278,11 +279,8 @@ def read_labels(path):
             raise ValueError(f"{path}: label row needs 3 fields, got {len(row)}")
         if row[0] != str(row_id):
             raise ValueError(f"{path}: row_id {row[0]!r} where {row_id} belongs")
-        try:
-            a = int(row[1])
-            loc = int(row[2]) if row[2] != "" else 0
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed label row {row!r}") from exc
+        a = _parse_count(row[1], path, "label A")
+        loc = _parse_count(row[2], path, "label L") if row[2] != "" else 0
         if a not in (0, 1):
             raise ValueError(f"{path}: A must be 0 or 1, got {a}")
         if a == 1 and loc < 1:

@@ -280,15 +280,50 @@ def _init_network(p, hidden_dims, rng):
                           cutoff=0.0, temperature=1.0)
 
 
-def _iterate(net):
-    """The current parameters by reference; training rebinds its arrays, never writes into them."""
-    return ScoringNetwork(
-        layer_dims=list(net.layer_dims),
-        weights=list(net.weights),
-        biases=list(net.biases),
-        cutoff=net.cutoff,
-        temperature=net.temperature,
-    )
+def _flat(weights, biases, cutoff):
+    """[W..., b..., s] as one vector: the layout Adam steps on."""
+    return np.concatenate([*(p.ravel() for p in (*weights, *biases)), [cutoff]])
+
+
+def _network(theta, dims, temperature):
+    """The network read from theta = [W..., b..., s]: W^l and b^l are views into it, s a float."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(theta[offset:offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+    for fan_out in dims[1:]:
+        biases.append(theta[offset:offset + fan_out])
+        offset += fan_out
+    return ScoringNetwork(layer_dims=list(dims), weights=weights, biases=biases,
+                          cutoff=float(theta[offset]), temperature=temperature)
+
+
+def _adam_step(theta, m, v, g, t, learning_rate):
+    """Step t (from 1) of Adam on the flat gradient g: a new theta; m and v update in place.
+
+    theta is never written into, so an iterate that holds it stays as it was;
+    g is spent as scratch. Each in-place line rounds as its term of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    theta - lr (m / c1) / (sqrt(v / c2) + eps) does on fresh arrays.
+    """
+    # s's entry squares through C pow, as the scalar s's gradient always has; pow rounds
+    # apart from g * g about once in 1 200 draws, and the Adam oracle test pins this
+    cutoff_squared = float(g[-1]) ** 2
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    g_squared = np.square(g, out=g)
+    g_squared[-1] = cutoff_squared
+    g_squared *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += g_squared
+    step = m / (1.0 - ADAM_BETA1**t)
+    step *= learning_rate
+    denominator = np.divide(v, 1.0 - ADAM_BETA2**t, out=g_squared)
+    np.sqrt(denominator, out=denominator)
+    denominator += ADAM_EPS
+    step /= denominator
+    return theta - step
 
 
 def _observer_count():
@@ -309,6 +344,12 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     are independent of the batching. Gradients on a batch use KDE bandwidths
     refit from that batch's scores; a single-class batch gets the gradients of
     its BCE term alone.
+
+    Adam steps on one flat vector theta = [W..., b..., s]. Each step makes a
+    new theta and a new network whose weights and biases are views into it
+    (s is a float), and never writes into an earlier theta, so an iterate
+    handed to an observer or kept as the snapshot stays as it was. Every
+    parameter rounds as it would in a step over each array on its own.
 
     The observations run on the observer pool, one thread per usable core and
     at most 4; the calling thread waits for the oldest observation once more
@@ -354,10 +395,11 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         net.biases[-1] = net.biases[-1] / spread
         scores = scores / spread
     net.cutoff = float(np.median(scores))
-    net.temperature = float(cfg.temperature)
+    theta = _flat(net.weights, net.biases, net.cutoff)
+    net = _network(theta, net.layer_dims, float(cfg.temperature))
 
     history = []
-    best = _iterate(net)
+    best = net
     best_loss = np.inf
     best_iteration = 0
 
@@ -387,50 +429,36 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
             best_iteration = iteration
 
     def _observe_current(iteration):
-        iterate = _iterate(net)
-        future = pool.submit(contextvars.copy_context().run, _observe, iterate, batch, labels)
-        pending.append((iteration, iterate, future))
+        future = pool.submit(contextvars.copy_context().run, _observe, net, batch, labels)
+        pending.append((iteration, net, future))
         while len(pending) > 2 * observers:
             _book_oldest()
 
-    def _minibatch_gradients():
+    def _minibatch_gradient():
         nonlocal order, cursor
         if cursor >= order.size:
             order = rng.permutation(n_rows)
             cursor = 0
         idx = order[cursor:cursor + step]
         cursor += step
-        return _gradients(net, batch[idx], labels[idx])
+        grads = _gradients(net, batch[idx], labels[idx])
+        return _flat(grads.weights, grads.biases, grads.cutoff)
 
-    # Adam's two moments for each parameter, in the order [W..., b..., s]
-    m = [np.zeros_like(p) for p in (*net.weights, *net.biases, net.cutoff)]
-    v = [np.zeros_like(p) for p in m]
-
-    def _adam_step(t, grads):
-        """Rebinds every parameter; an iterate handed out earlier keeps its own arrays."""
-        correct1 = 1.0 - ADAM_BETA1**t
-        correct2 = 1.0 - ADAM_BETA2**t
-        params = [*net.weights, *net.biases, net.cutoff]
-        for i, g in enumerate([*grads.weights, *grads.biases, grads.cutoff]):
-            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
-            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g ** 2
-            params[i] = params[i] - cfg.learning_rate * (m[i] / correct1) / (
-                np.sqrt(v[i] / correct2) + ADAM_EPS)
-        layers = len(net.weights)
-        net.weights[:] = params[:layers]
-        net.biases[:] = params[layers:-1]
-        net.cutoff = params[-1]
+    # Adam's two moments, laid out as theta
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
 
     try:
         for k in range(cfg.max_iters):
             _observe_current(k)
             try:
-                _adam_step(k + 1, _minibatch_gradients())
+                theta = _adam_step(theta, m, v, _minibatch_gradient(), k + 1, cfg.learning_rate)
             except Exception:
                 # a serial run books every observation up to k before step k
                 while pending:
                     _book_oldest()
                 raise
+            net = _network(theta, net.layer_dims, net.temperature)
         _observe_current(cfg.max_iters)  # evaluate the final iterate so the last step can win
         while pending:
             _book_oldest()

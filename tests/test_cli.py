@@ -331,6 +331,8 @@ def _shift_first_omega_value(lines):
     ("net.txt", lambda lines: [lines[0], lines[1] + ".0"] + lines[2:], "malformed dims '1.0'"),
     ("labels_test.csv", lambda lines: lines[:2] + ["0x10" + lines[2][1:]] + lines[3:],
      "row_id '0x10' where 1 belongs"),
+    ("labels_test.csv", lambda lines: lines[:2] + ["1,1,1_0"] + lines[3:],
+     "malformed label L '1_0'"),
 ])
 def test_damaged_model_and_label_files_exit_2(workdir, tmp_path, capsys, name, damage, message):
     files = {"pca.txt": workdir / "pca.txt", "net.txt": workdir / "net.txt",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from panelscan import density
@@ -71,6 +73,65 @@ def test_silverman_bandwidth_zero_iqr_falls_back_to_std():
     expected = 0.9 * np.std(samples, ddof=1) * samples.size ** (-0.2)
     assert density.silverman_bandwidth(samples) == pytest.approx(expected, rel=1e-15)
     assert density.silverman_bandwidth(samples) > 1e3 * density.BANDWIDTH_FLOOR
+
+
+# float64 bit patterns a quartile can mishandle: signed zeros (equal, yet told
+# apart by their bits), infinities, subnormals, and NaNs with distinct payloads
+_SPECIAL_BITS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0, 0.5]
+                         ).view(np.uint64).tolist() + [
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000BEEF00]
+_SIGNED_ZEROS = np.array([0.0, -0.0]).view(np.uint64).tolist()
+
+
+@st.composite
+def _samples(draw):
+    """2 to 5 000 values: distinct normals mixed with cells from a small pool, often ties."""
+    n = draw(st.integers(2, 20) | st.integers(2, 5000))
+    bits = st.sampled_from(_SPECIAL_BITS) | st.integers(0, 2**64 - 1)
+    pool = draw(st.just(_SIGNED_ZEROS) | st.lists(bits, min_size=1, max_size=6))
+    pool = np.array(pool, dtype=np.uint64).view(np.float64)
+    share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pooled = pool[rng.integers(0, pool.size, n)]
+    return np.where(rng.random(n) < share, pooled, rng.standard_normal(n))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _np_percentile_silverman(samples):
+    # silverman_bandwidth as it was written on np.std and np.percentile
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    if n == 1:
+        return density.BANDWIDTH_FLOOR
+    spread_std = np.std(samples, ddof=1)
+    q75, q25 = np.percentile(samples, [75.0, 25.0])
+    spread_iqr = (q75 - q25) / 1.34
+    spread = min(spread_std, spread_iqr) if spread_iqr > 0.0 else spread_std
+    return max(0.9 * spread * n ** (-0.2), density.BANDWIDTH_FLOOR)
+
+
+@settings(max_examples=400, deadline=None)
+@given(samples=_samples())
+@example(samples=np.array([-0.0, 0.0]))
+@example(samples=np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0]))
+@example(samples=np.array([-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0, np.nan]))
+@example(samples=np.array([1.0, 1.0, 1.0, 1.0, -np.inf, np.inf]))
+def test_quartiles_match_np_percentile_bit_for_bit(samples):
+    with np.errstate(all="ignore"):
+        expected = np.percentile(samples, [75.0, 25.0])
+    assert _bits(density._quartiles(samples)) == _bits(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=_samples())
+def test_silverman_bandwidth_is_bit_equal_to_the_np_percentile_formula(samples):
+    with np.errstate(all="ignore"):
+        expected = _np_percentile_silverman(samples)
+        got = density.silverman_bandwidth(samples)
+    assert _bits(got) == _bits(expected)
 
 
 def test_fit_kde_validation():

@@ -538,6 +538,21 @@ def test_read_labels_validation(tmp_path):
         io.read_labels(path)
 
 
+@pytest.mark.parametrize("row, what", [
+    ("0,1,1_0", "L '1_0'"),
+    ("0,+1,3", "A '+1'"),
+    ("0,1, 3", "L ' 3'"),
+    ("0,0,-1", "L '-1'"),
+    ("0,1,\u0663", "L '\u0663'"),
+])
+def test_read_labels_takes_counts_only_as_ascii_digits(tmp_path, row, what):
+    # int() accepts each of these: 1_0 as 10, +1 as 1, ' 3' and the Arabic-Indic digit as 3
+    path = tmp_path / "rows.csv"
+    path.write_text(f"row_id,A,L\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"malformed label {what}")):
+        io.read_labels(path)
+
+
 def test_read_labels_requires_row_ids_in_order(tmp_path):
     path = tmp_path / "rows.csv"
     io.write_labels(path, [0, 1, 0, 1], [0, 3, 0, 5])

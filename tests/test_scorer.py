@@ -1,5 +1,6 @@
 """Network scorer: forward pass, exact loss gradients, training, naive baseline."""
 
+import hashlib
 import threading
 
 import numpy as np
@@ -422,6 +423,71 @@ def test_training_observations_run_under_the_callers_errstate(monkeypatch):
         # the calling thread only takes the steps; the pool runs every observation
         assert not any(on_caller for on_caller, _ in seen)
         assert all(state == ignore_all for _, state in seen)
+
+
+def _per_parameter_adam(params, m, v, grads, t, learning_rate):
+    # the loop the flat step replaced: each of W..., b..., s on its own, s a scalar
+    correct1 = 1.0 - scorer.ADAM_BETA1**t
+    correct2 = 1.0 - scorer.ADAM_BETA2**t
+    for i, g in enumerate(grads):
+        m[i] = scorer.ADAM_BETA1 * m[i] + (1.0 - scorer.ADAM_BETA1) * g
+        v[i] = scorer.ADAM_BETA2 * v[i] + (1.0 - scorer.ADAM_BETA2) * g ** 2
+        params[i] = params[i] - learning_rate * (m[i] / correct1) / (
+            np.sqrt(v[i] / correct2) + scorer.ADAM_EPS)
+
+
+def test_flat_adam_step_is_bit_equal_to_the_per_parameter_loop():
+    rng = np.random.default_rng(31)
+    net = _toy_net((5, 4, 3, 1), seed=30)
+    params = [*net.weights, *net.biases, net.cutoff]
+    theta = scorer._flat(net.weights, net.biases, net.cutoff)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    m_ref = [np.zeros_like(p) for p in params]
+    v_ref = [np.zeros_like(p) for p in m_ref]
+    # s's first gradients are values whose pow(g, 2) and g * g round apart in v
+    decay = 1.0 - scorer.ADAM_BETA2
+    cutoff_grads = [g for g in rng.standard_normal(100_000).tolist()
+                    if decay * g ** 2 != decay * (g * g)][:3]
+    assert len(cutoff_grads) == 3
+    for t, cutoff_grad in enumerate([*cutoff_grads, 0.37, -1e-9], start=1):
+        grads = [rng.standard_normal(np.shape(p)) * 10.0 ** rng.integers(-8, 2)
+                 for p in params[:-1]] + [cutoff_grad]
+        g = scorer._flat(grads[:3], grads[3:-1], grads[-1])
+        before = theta.copy()
+        new_theta = scorer._adam_step(theta, m, v, g, t, 1e-3)
+        np.testing.assert_array_equal(theta, before)  # the old theta stays as it was
+        theta = new_theta
+        _per_parameter_adam(params, m_ref, v_ref, grads, t, 1e-3)
+        for flat, per_parameter in ((theta, params), (m, m_ref), (v, v_ref)):
+            expected = scorer._flat(per_parameter[:3], per_parameter[3:-1], per_parameter[-1])
+            assert flat.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    stepped = scorer._network(theta, net.layer_dims, net.temperature)
+    assert all(np.shares_memory(a, theta) for a in (*stepped.weights, *stepped.biases))
+    assert type(stepped.cutoff) is float and stepped.cutoff == params[-1]
+
+
+def _digest(net):
+    arrays = (*net.weights, *net.biases, np.float64(net.cutoff))
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def test_training_never_writes_into_an_iterate_it_handed_out(monkeypatch):
+    # the observers read each iterate by reference while later steps run
+    observe = scorer._observe
+    arrived = []
+
+    def hashing(net, *args):
+        arrived.append((net, _digest(net)))
+        return observe(net, *args)
+
+    monkeypatch.setattr(scorer, "_observe", hashing)
+    X, A = _toy_batch(6, 61, seed=12)
+    result = scorer.train(X, A, scorer.TrainConfig(hidden_dims=(8, 4), max_iters=40, seed=5))
+    assert len(arrived) == 41
+    assert all(_digest(net) == digest for net, digest in arrived)
+    assert len({digest for _, digest in arrived}) == 41
+    assert any(net is result.network for net, _ in arrived)
+    assert type(result.network.cutoff) is float
 
 
 def test_naive_scores_are_row_norms():
