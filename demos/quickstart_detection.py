@@ -35,7 +35,7 @@ def main():
               f"{s[f'dummy_loc_accuracy_{split}']:.4f}")
     print(f"  non-extreme test rows: {s['non_extreme_accuracy']:.4f} on "
           f"{s['n_non_extreme']} rows where the anomaly is not the window max "
-          f"(dummy: {s['dummy_non_extreme_accuracy']:.4f})")
+          f"(dummy on all contaminated test rows: {s['dummy_loc_accuracy_test']:.4f})")
 
     print(f"\nlearned cut-off s = {s['cutoff']:.4f}  "
           f"(training best loss {s['final_loss']:.4f})")

@@ -272,18 +272,21 @@ def cmd_evaluate(args):
 
 
 def cmd_var(args):
-    _, clean = _read(io.read_panel, args.clean)
-    _, contaminated = _read(io.read_panel, args.panel)
-    _, value_labels = _read(io.read_value_labels, args.value_labels)
+    clean_ids, clean = _read(io.read_panel, args.clean)
+    ids, contaminated = _read(io.read_panel, args.panel)
+    label_ids, value_labels = _read(io.read_value_labels, args.value_labels)
     s0, mu, sigma = _read(io.read_params, args.params)
     if contaminated.shape != clean.shape or value_labels.shape != clean.shape:
         raise ValueError("clean, contaminated and value-label files disagree in shape")
+    if clean_ids != ids or label_ids != ids:
+        raise ValueError("clean, contaminated and value-label files disagree on series ids")
     if mu.size != clean.shape[0]:
         raise ValueError(f"{mu.size} parameter rows for {clean.shape[0]} series")
-    weights = _read(io.read_weights, args.weights) if args.weights \
-        else np.full(clean.shape[0], 1.0 / clean.shape[0])
-    if weights.size != clean.shape[0]:
-        raise ValueError(f"{weights.size} weights for {clean.shape[0]} series")
+    weight_ids, weights = _read(io.read_weights, args.weights) if args.weights \
+        else (ids, np.full(clean.shape[0], 1.0 / clean.shape[0]))
+    if weight_ids != ids:
+        raise ValueError(f"{len(weight_ids)} weights do not name the {len(ids)} series "
+                         "of the panel in its order")
     model = _load_model(args)
     portfolio = riskmetrics.Portfolio(weights=weights)
     pred = workflows.detect_panel(model, contaminated, method=args.method)
@@ -293,14 +296,14 @@ def cmd_var(args):
     payload = {
         "alpha": args.alpha,
         "horizon": args.h,
-        "var": {tag: est.value for tag, est in estimates.items()},
+        "var": estimates,
         "errors": {tag: {"absolute": absolute, "relative": relative}
                    for tag, (absolute, relative) in errors.items()},
     }
     report_path = _out_path(args, "var_report.json")
     _write(io.write_json, report_path, payload)
-    _say(args, f"wrote {report_path} (VaR theo {estimates['theo'].value:.6g}, "
-               f"loc_pred {estimates['loc_pred'].value:.6g})")
+    _say(args, f"wrote {report_path} (VaR theo {estimates['theo']:.6g}, "
+               f"loc_pred {estimates['loc_pred']:.6g})")
     return 0
 
 

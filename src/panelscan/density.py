@@ -18,9 +18,7 @@ from scipy.special import ndtr
 
 BANDWIDTH_FLOOR = 1e-6
 CUTOFF_GRID_POINTS = 1024  # points in intersection_cutoff's search grid
-_GRID_BLOCK = 64  # grid points evaluated together by pdf, auc_above and auc_below
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_GRID_BLOCK = 64  # grid points evaluated together by auc_above and auc_below
 
 
 @dataclass
@@ -102,17 +100,6 @@ def _on_grid(x, row_values):
     for start in range(0, len(grid), _GRID_BLOCK):
         values[start:start + _GRID_BLOCK] = row_values(grid[start:start + _GRID_BLOCK, None])
     return float(values[0]) if x.ndim == 0 else values
-
-
-def pdf(model: KdeModel, x):
-    """Evaluate the density estimate anywhere on the real line."""
-    scale = model.samples.size * model.bandwidth * _SQRT_2PI
-
-    def row_values(points):
-        z = (points - model.samples[None, :]) / model.bandwidth
-        return np.exp(-0.5 * z * z).sum(axis=1) / scale
-
-    return _on_grid(x, row_values)
 
 
 def auc_above(model: KdeModel, s):

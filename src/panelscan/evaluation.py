@@ -278,7 +278,6 @@ def flatten_metrics(result, prefix=""):
 class MultirunResult:
     mean: dict
     std: dict
-    runs: list  # flat per-run metric dicts
 
 
 def multirun(experiment, seeds) -> MultirunResult:
@@ -298,7 +297,7 @@ def multirun(experiment, seeds) -> MultirunResult:
         except Exception as exc:
             raise RuntimeError(f"run {index} (seed {seed}) failed: {exc}") from exc
     mean, std = aggregate(runs)
-    return MultirunResult(mean=mean, std=std, runs=runs)
+    return MultirunResult(mean=mean, std=std)
 
 
 def aggregate(runs):

@@ -7,12 +7,14 @@ windows, value labels) go through two kernels: `write_panel` formats each
 distinct value of a block of rows once and joins the cached strings, and
 `read_panel` parses every value with one `np.loadtxt` call fed row by row
 from the open file, so a panel read holds one line besides its n x T float
-array. Readers raise ValueError on malformed content, including non-finite
-numbers, a model count (k, p, dims) that is not written in decimal digits,
-and a PCA model that is not a basis (k outside 1..p, negative or ascending
-eigenvalues, omega rows not orthonormal to 1e-9), and OSError on
-filesystem problems; the CLI maps those to its exit codes. JSON reports
-write non-finite floats as null, never as bare NaN or Infinity.
+array. Panel writers number the series 0..n-1; `read_panel` keeps each row's
+id as the file spells it, csv-quoted ids included. Readers raise ValueError
+on malformed content, including non-finite numbers, a model count (k, p,
+dims) that is not written in decimal digits, and a PCA model that is not a
+basis (k outside 1..p, negative or ascending eigenvalues, omega rows not
+orthonormal to 1e-9), and OSError on filesystem problems; the CLI maps those
+to its exit codes. JSON reports write non-finite floats as null, never as
+bare NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import csv
 import itertools
 import json
 import math
-from io import StringIO
 
 import numpy as np
 
@@ -79,18 +80,6 @@ def _finite(values, path, what):
 
 # -- panels ------------------------------------------------------------------
 
-def _id_cell(sid):
-    """A series id as csv.writer writes a row's first field; line breaks are refused."""
-    if isinstance(sid, (int, np.integer)):  # csv.writer writes str(sid), unquoted
-        return str(sid)
-    buffer = StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([sid, ""])
-    cell = buffer.getvalue()[:-2]
-    if "\n" in cell or "\r" in cell:
-        raise ValueError(f"series id {sid!r} contains a line break")
-    return cell
-
-
 class _RowError(Exception):
     """A bad panel row id or field count, found while np.loadtxt pulls rows.
 
@@ -112,8 +101,8 @@ def _quoted_id(line, path):
     return line[1:end].replace('""', '"'), line[end + 2:]
 
 
-def _price_rows(lines, T, series_ids, path):
-    """Yield each row for np.loadtxt, its id appended to series_ids and its field count checked."""
+def _price_rows(lines, T, ids, path):
+    """Yield each row for np.loadtxt, its id appended to ids and its field count checked."""
     for line in lines:
         if line.startswith('"'):
             sid, rest = _quoted_id(line, path)
@@ -123,12 +112,12 @@ def _price_rows(lines, T, series_ids, path):
             sid = line.rstrip("\n") if comma < 0 else line[:comma]
         if line.count(",") != T:
             raise _RowError(f"{path}: row {[sid]} has {line.count(',')} values, expected {T}")
-        series_ids.append(sid)
+        ids.append(sid)
         yield line
 
 
-def write_panel(path, prices, series_ids=None, fmt=_FLOAT_FMT):
-    """Panel CSV: header series_id,t_1,...,t_T, one row per series.
+def write_panel(path, prices, fmt=_FLOAT_FMT):
+    """Panel CSV: header series_id,t_1,...,t_T, one row per series, ids 0..n-1.
 
     Rows go out in blocks of `_PANEL_BLOCK_ROWS`. In each block every distinct
     bit pattern is formatted once with `"%" + fmt` (`"%.17g" % v` writes the
@@ -140,26 +129,22 @@ def write_panel(path, prices, series_ids=None, fmt=_FLOAT_FMT):
     n, T = prices.shape
     if T == 0:
         raise ValueError("a panel needs at least one column")
-    if series_ids is None:
-        series_ids = range(n)
-    cells = [_id_cell(sid) for sid, _ in zip(series_ids, range(n))]
     spec = "%" + fmt
     bits = f"u{prices.dtype.itemsize}"
     with _open_write(path) as handle:
         _writer(handle).writerow(["series_id"] + [f"t_{j}" for j in range(1, T + 1)])
-        for start in range(0, len(cells), _PANEL_BLOCK_ROWS):
-            stop = start + _PANEL_BLOCK_ROWS
-            block = np.ascontiguousarray(prices[start:stop])
+        for start in range(0, n, _PANEL_BLOCK_ROWS):
+            block = np.ascontiguousarray(prices[start:start + _PANEL_BLOCK_ROWS])
             distinct, inverse = np.unique(block.view(bits), return_inverse=True)
             text = np.array([spec % v for v in distinct.view(prices.dtype).tolist()],
                             dtype=object)
             rows = text[inverse.reshape(block.shape)].tolist()
-            handle.write("".join(cell + "," + ",".join(row) + "\n"
-                                 for cell, row in zip(cells[start:stop], rows)))
+            handle.write("".join(f"{sid},{','.join(row)}\n"
+                                 for sid, row in enumerate(rows, start)))
 
 
 def read_panel(path):
-    """Read a panel CSV back as (series_ids, prices).
+    """Read a panel CSV back as (series ids, prices).
 
     Ids are each row's first field; a csv-quoted id is unquoted. The values
     are parsed by one `np.loadtxt` call, which reads what `float` reads except
@@ -168,7 +153,7 @@ def read_panel(path):
     each row's id and field count as it passes, so the reader holds one line
     besides the n x T result array.
     """
-    series_ids = []
+    ids = []
     with open(path, encoding="utf-8") as handle:  # universal newlines: \r\n and \r end rows
         header = handle.readline().rstrip("\n").split(",")
         if header[0] != "series_id":
@@ -179,7 +164,7 @@ def read_panel(path):
         first = handle.readline()
         if not first:
             raise ValueError(f"{path}: panel has no series")
-        rows = _price_rows(itertools.chain([first], handle), T, series_ids, path)
+        rows = _price_rows(itertools.chain([first], handle), T, ids, path)
         try:
             prices = np.loadtxt(rows, delimiter=",", usecols=range(1, T + 1), ndmin=2,
                                 dtype=float, comments=None)
@@ -187,22 +172,21 @@ def read_panel(path):
             raise ValueError(str(exc)) from None
         except ValueError as exc:
             raise ValueError(f"{path}: malformed price: {exc}") from exc
-    return series_ids, _finite(prices, path, "price")
+    return ids, _finite(prices, path, "price")
 
 
-def write_value_labels(path, labels, series_ids=None):
+def write_value_labels(path, labels):
     """Value-level label matrix in the panel layout, integer cells."""
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-    write_panel(path, labels, series_ids=series_ids, fmt="d")
+    write_panel(path, np.atleast_2d(np.asarray(labels, dtype=np.int64)), fmt="d")
 
 
 def read_value_labels(path):
-    series_ids, values = read_panel(path)
+    ids, values = read_panel(path)
     if not np.array_equal(np.round(values), values):
         raise ValueError(f"{path}: value labels must be integers")
     if not np.all((values == 0) | (values == 1)):
         raise ValueError(f"{path}: value labels must be 0 or 1")
-    return series_ids, values.astype(np.int64)
+    return ids, values.astype(np.int64)
 
 
 def write_params(path, panel):
@@ -231,28 +215,22 @@ def read_params(path):
     return s0, mu, sigma
 
 
-def write_weights(path, weights, series_ids=None):
-    """Portfolio weights CSV: series_id,weight."""
-    weights = np.asarray(weights, dtype=float)
-    if series_ids is None:
-        series_ids = range(weights.size)
-    write_rows(path, ["series_id", "weight"], zip(series_ids, weights))
-
-
 def read_weights(path):
+    """(series ids, weights) from a series_id,weight CSV; blank lines are skipped."""
     rows = _read_rows(path)
     if not rows or rows[0] != ["series_id", "weight"]:
         raise ValueError(f"{path}: expected header series_id,weight")
-    values = []
+    ids, values = [], []
     for row in rows[1:]:
         if not row:
             continue
         if len(row) != 2:
             raise ValueError(f"{path}: weights row {row!r} needs 2 fields, got {len(row)}")
+        ids.append(row[0])
         values.append(_parse_float(row[1], path, "weight"))
     if not values:
         raise ValueError(f"{path}: weights file has no rows")
-    return _finite(values, path, "weight")
+    return ids, _finite(values, path, "weight")
 
 
 # -- window labels -----------------------------------------------------------

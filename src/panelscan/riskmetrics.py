@@ -16,14 +16,11 @@ from scipy.special import ndtri
 
 from . import simgen
 
-VAR_SOURCES = ("theo", "clean", "anom", "loc_true", "loc_pred")
-
 
 @dataclass
 class ReturnModel:
     mu: np.ndarray      # length-N mean of h-step log-returns
     sigma: np.ndarray   # N x N covariance
-    horizon: int = 1
 
 
 @dataclass
@@ -36,24 +33,9 @@ class Portfolio:
             raise ValueError("portfolio weights must be finite")
 
 
-@dataclass
-class VarEstimate:
-    value: float
-    alpha: float
-    horizon: int
-    source: str
-
-    def __post_init__(self):
-        if not 0.5 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0.5, 1), got {self.alpha}")
-        if self.source not in VAR_SOURCES:
-            raise ValueError(f"source must be one of {VAR_SOURCES}, got {self.source!r}")
-
-
-def log_returns(panel, h_steps=1):
+def log_returns(prices, h_steps=1):
     """Overlapping h-step log returns per series."""
-    prices = panel.prices if isinstance(panel, simgen.PricePanel) else np.asarray(panel, dtype=float)
-    prices = np.atleast_2d(prices)
+    prices = np.atleast_2d(np.asarray(prices, dtype=float))
     h = int(h_steps)
     if not 1 <= h < prices.shape[1]:
         raise ValueError(f"h_steps must lie in 1..{prices.shape[1] - 1}, got {h}")
@@ -62,14 +44,14 @@ def log_returns(panel, h_steps=1):
     return np.log(prices[:, h:] / prices[:, :-h])
 
 
-def estimate_params(returns, h_steps=1) -> ReturnModel:
+def estimate_params(returns) -> ReturnModel:
     """Sample mean and 1/(n-1) covariance of the return observations."""
     returns = np.atleast_2d(np.asarray(returns, dtype=float))
     if returns.shape[1] < 2:
         raise ValueError("need at least two return observations")
     mu = returns.mean(axis=1)
     sigma = np.atleast_2d(np.cov(returns, ddof=1))
-    return ReturnModel(mu=mu, sigma=sigma, horizon=int(h_steps))
+    return ReturnModel(mu=mu, sigma=sigma)
 
 
 def theoretical_return_model(mu, sigma, correlation, dt, h_steps=1) -> ReturnModel:
@@ -84,7 +66,7 @@ def theoretical_return_model(mu, sigma, correlation, dt, h_steps=1) -> ReturnMod
     mat = simgen.correlation_matrix(correlation, mu.size)
     mean = (mu - 0.5 * sigma**2) * dt * h
     cov = np.outer(sigma, sigma) * mat * dt * h
-    return ReturnModel(mu=mean, sigma=cov, horizon=h)
+    return ReturnModel(mu=mean, sigma=cov)
 
 
 def norm_quantile(p):
@@ -95,8 +77,10 @@ def norm_quantile(p):
     return float(ndtri(p))
 
 
-def portfolio_var(model: ReturnModel, portfolio: Portfolio, alpha, source="clean") -> VarEstimate:
-    """VaR_alpha = mu_P + q_alpha sigma_P for P = Q^T R."""
+def portfolio_var(model: ReturnModel, portfolio: Portfolio, alpha) -> float:
+    """VaR_alpha = mu_P + q_alpha sigma_P for P = Q^T R, with 0.5 < alpha < 1."""
+    if not 0.5 < float(alpha) < 1.0:
+        raise ValueError(f"alpha must lie in (0.5, 1), got {float(alpha)}")
     weights = portfolio.weights
     if weights.size != model.mu.size:
         raise ValueError("portfolio and return model disagree on dimension")
@@ -105,18 +89,13 @@ def portfolio_var(model: ReturnModel, portfolio: Portfolio, alpha, source="clean
     if var_p < -1e-10:
         raise ValueError(f"portfolio variance is negative: {var_p:.3e}")
     sigma_p = math.sqrt(max(var_p, 0.0))
-    value = mu_p + norm_quantile(alpha) * sigma_p
-    return VarEstimate(value=value, alpha=float(alpha), horizon=model.horizon, source=source)
-
-
-def _value(v):
-    return float(v.value) if isinstance(v, VarEstimate) else float(v)
+    return mu_p + norm_quantile(alpha) * sigma_p
 
 
 def var_errors(theo, est):
     """(absolute, relative) error of an estimated VaR against the true one."""
-    t = _value(theo)
-    e = _value(est)
+    t = float(theo)
+    e = float(est)
     if t == 0.0:
         raise ValueError("relative VaR error undefined for zero theoretical VaR")
     absolute = abs(t - e)

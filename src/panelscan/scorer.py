@@ -46,6 +46,7 @@ PROB_CLIP = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+BATCH_SIZE = 16  # rows per Adam update
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -64,7 +65,6 @@ class TrainConfig:
     hidden_dims: tuple = (64, 32)
     learning_rate: float = 1e-3
     max_iters: int = 2000
-    batch_size: int = 16  # rows per Adam update
     seed: int = 0
     temperature: float = 0.2   # label smoothing scale; initial scores have unit spread
 
@@ -337,8 +337,8 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     """Minibatch Adam on the custom loss; returns the best-loss snapshot.
 
     Each of the max_iters iterations takes one Adam step on a minibatch of
-    batch_size rows, shuffled anew each pass over the data; a set of at most
-    batch_size rows steps on all of its rows. The loss is observed on the full
+    BATCH_SIZE rows, shuffled anew each pass over the data; a set of at most
+    BATCH_SIZE rows steps on all of its rows. The loss is observed on the full
     training set at every iteration and the returned parameters are the
     snapshot with the lowest observed loss, so the log and the snapshot rule
     are independent of the batching. Gradients on a batch use KDE bandwidths
@@ -377,8 +377,6 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         raise ValueError(f"hidden widths must be >= 1, got {tuple(cfg.hidden_dims)}")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if cfg.batch_size is None or int(cfg.batch_size) < 1:
-        raise ValueError("batch_size must be positive")
     # column-major once: every observation below runs forward on the whole set
     batch = np.asfortranarray(np.atleast_2d(np.asarray(epsilon_train, dtype=float)))
     labels = np.asarray(A_train, dtype=float).ravel()
@@ -404,7 +402,6 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     best_iteration = 0
 
     n_rows = batch.shape[0]
-    step = int(cfg.batch_size)  # a set of fewer rows yields all of them each pass
     order = np.empty(0, dtype=np.intp)
     cursor = 0
 
@@ -439,8 +436,8 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         if cursor >= order.size:
             order = rng.permutation(n_rows)
             cursor = 0
-        idx = order[cursor:cursor + step]
-        cursor += step
+        idx = order[cursor:cursor + BATCH_SIZE]  # all rows of a set of fewer rows
+        cursor += BATCH_SIZE
         grads = _gradients(net, batch[idx], labels[idx])
         return _flat(grads.weights, grads.biases, grads.cutoff)
 

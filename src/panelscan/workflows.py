@@ -198,11 +198,9 @@ def _evaluate(model, bundle):
             out["naive_cutoff"] = naive_cut
         else:
             ne = non_extreme_mask(panel)
-            truth = panel.loc_labels[ne]
             out["n_non_extreme"] = int(ne.sum())
-            out["non_extreme_accuracy"] = float(np.mean(scored.locations[ne] == truth))
-            out["dummy_non_extreme_accuracy"] = float(
-                np.mean(dummy_localize(panel.windows)[ne] == truth))
+            out["non_extreme_accuracy"] = float(
+                np.mean(scored.locations[ne] == panel.loc_labels[ne]))
     out["cutoff"] = float(model.net.cutoff)
     return out, scored  # the test split is scored last
 
@@ -338,8 +336,8 @@ def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, 
     theo comes from the generating (mu, sigma, correlation, dt); the other
     four are fitted to the clean prices, the contaminated prices, and the
     contaminated prices imputed at the true and at the predicted stamps.
-    Returns (estimates, errors): tag -> VarEstimate and tag -> (absolute,
-    relative) for every tag but theo.
+    Returns (estimates, errors): tag -> VaR and tag -> (absolute, relative)
+    for every tag but theo.
     """
     variants = {
         "clean": clean,
@@ -348,10 +346,10 @@ def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, 
         "loc_pred": impute_panel(contaminated, pred, method=method),
     }
     theo_model = riskmetrics.theoretical_return_model(mu, sigma, correlation, dt, h_steps)
-    estimates = {"theo": riskmetrics.portfolio_var(theo_model, portfolio, alpha, source="theo")}
+    estimates = {"theo": riskmetrics.portfolio_var(theo_model, portfolio, alpha)}
     for tag, prices in variants.items():
-        fitted = riskmetrics.estimate_params(riskmetrics.log_returns(prices, h_steps), h_steps)
-        estimates[tag] = riskmetrics.portfolio_var(fitted, portfolio, alpha, source=tag)
+        fitted = riskmetrics.estimate_params(riskmetrics.log_returns(prices, h_steps))
+        estimates[tag] = riskmetrics.portfolio_var(fitted, portfolio, alpha)
     errors = {tag: riskmetrics.var_errors(estimates["theo"], estimates[tag]) for tag in variants}
     return estimates, errors
 
@@ -372,7 +370,7 @@ def var_run(result: PipelineResult, run_index, n_anom=4) -> dict:
     estimates, errors = var_estimates(
         clean.prices, contaminated.prices, truth, pred, base.mu, base.sigma,
         cfg.correlation, base.dt, DEFAULT_H_STEPS, portfolio, DEFAULT_VAR_ALPHA)
-    out = {f"var_{tag}": est.value for tag, est in estimates.items()}
+    out = {f"var_{tag}": value for tag, value in estimates.items()}
     for tag, (absolute, relative) in errors.items():
         out[f"abs_err_{tag}"] = absolute
         out[f"rel_err_{tag}"] = relative
@@ -406,8 +404,7 @@ def imputation_run(result: PipelineResult, run_index, n_anom=4) -> dict:
         base.mu, base.sigma, cfg.correlation, base.dt, DEFAULT_H_STEPS).sigma
     out = {}
     for tag, prices in variants.items():
-        fitted = riskmetrics.estimate_params(
-            riskmetrics.log_returns(prices, DEFAULT_H_STEPS), DEFAULT_H_STEPS)
+        fitted = riskmetrics.estimate_params(riskmetrics.log_returns(prices, DEFAULT_H_STEPS))
         out[f"cov_err_{tag}"] = riskmetrics.cov_error(sigma_ref, fitted.sigma)
     for tag in ("anom",) + detector.IMPUTATION_METHODS:
         per_series = [riskmetrics.imputation_error(clean.prices[i], variants[tag][i], n_anom)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from panelscan import cli, detector, evaluation, io, scorer, simgen, workflows
 
@@ -437,6 +439,154 @@ def test_var_weights_row_without_two_fields_exits_2(workdir, tmp_path, capsys):
     assert _run(*_var_flags(workdir, tmp_path), "--panel", workdir / "contaminated_panel.csv",
                 "--weights", weights) == 2
     assert "['1'] needs 2 fields" in capsys.readouterr().err
+
+
+# -- damaged var inputs: weights, value labels, config ----------------------
+
+_LINE_DAMAGE = ("drop line", "duplicate line", "swap lines")
+_TOKEN_DAMAGE = ("drop token", "bad token", "extra token")
+_FLOAT_KEYS = ("alpha", "dt", "correlation")
+
+
+def _var_config_lines():
+    """A --config file for var that sets every value flag to its default."""
+    _, parsers = cli.build_parser()
+    var = parsers["var"]
+    return (["# var at its defaults", ""]
+            + [f"{key} = {var.get_default(key)}" for key in _FLOAT_KEYS + ("h", "method", "seed")]
+            + ["quiet = true"])
+
+
+def _config_entries(lines):
+    """(key, "=" or "", value) per line that is not blank or a comment."""
+    for line in lines:
+        text = line.split("#", 1)[0].strip()
+        if text:
+            key, eq, value = text.partition("=")
+            yield key.strip(), eq, value.strip()
+
+
+def _config_exit(intact, lines):
+    """The exit code var owes a damaged config: 0 when it sets what intact sets,
+    3 when a float flag reads nan (a number, then refused), 2 when a line
+    cannot be read. A reference reader of the key = value format."""
+    want = {key: value for key, _, value in _config_entries(intact)}
+    code = 0
+    for key, eq, value in _config_entries(lines):
+        if not eq or key not in want:
+            return 2
+        if value != want[key]:
+            if value != "nan" or key not in _FLOAT_KEYS:
+                return 2
+            code = 3
+    return code
+
+
+# each file's lines (value labels: the simulated file), its token separator,
+# tokens that are wrong wherever they stand, and the var flag that hands it over
+_VAR_INPUTS = {
+    "weights": (["series_id,weight"] + [f"{i},{w!r}" for i, w in
+                                        enumerate([0.25, -0.125, 0.5, 0.1, 0.2, 0.075])],
+                ",", ['"', "nan", "inf", "bogus", "1e", ""], "--weights"),
+    "value labels": (None, ",", ['"', "nan", "inf", "bogus", "2", "-1", "0.5", ""],
+                     "--value-labels"),
+    "config": (_var_config_lines(), " ", ["nan", "bogus", "=", "#", ""], "--config"),
+}
+
+# (kind, line, offset, token, bad): one damage, its indices taken modulo the file's sizes
+_DAMAGES = st.tuples(st.sampled_from(_LINE_DAMAGE + _TOKEN_DAMAGE), st.integers(0, 999),
+                     st.integers(0, 999), st.sampled_from([0, 1, -1]) | st.integers(0, 999),
+                     st.integers(0, 99))
+
+
+def _run_var_with(workdir, out, flag, path):
+    out.mkdir()
+    files = {"--value-labels": workdir / "value_labels.csv", flag: path}  # path wins
+    return _run("var", "--out-dir", out, "--clean", workdir / "clean_panel.csv",
+                "--panel", workdir / "contaminated_panel.csv", "--params",
+                workdir / "params.csv", *_model_flags(workdir),
+                *[v for pair in files.items() for v in pair])
+
+
+@pytest.fixture(scope="module")
+def var_baselines(workdir, tmp_path_factory):
+    """name -> (the intact file's lines, the var report it gives)."""
+    root = tmp_path_factory.mktemp("var-inputs")
+    baselines = {}
+    for name, (lines, _, _, flag) in _VAR_INPUTS.items():
+        if lines is None:
+            lines = (workdir / "value_labels.csv").read_text().splitlines()
+        (root / name).write_text("".join(line + "\n" for line in lines))
+        assert _run_var_with(workdir, root / f"{name}.out", flag, root / name) == 0
+        baselines[name] = lines, (root / f"{name}.out" / "var_report.json").read_bytes()
+    return baselines
+
+
+def _damage(intact, separator, bad_tokens, damage):
+    """(lines, parses): a copy of intact with one line dropped, duplicated or
+    swapped with another, or one token dropped, replaced by a bad token or
+    joined by one. For a CSV file, parses says whether the copy still reads as
+    one: its header is the only first line and only a series id was replaced."""
+    kind, line, offset, token, bad = damage
+    lines = list(intact)
+    i = line % len(lines)
+    if kind in _LINE_DAMAGE:
+        if kind == "drop line":
+            del lines[i]
+        elif kind == "duplicate line":
+            lines.insert(i, lines[i])
+        else:
+            j = (i + 1 + offset % (len(lines) - 1)) % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        return lines, lines[0] == intact[0] and intact[0] not in lines[1:]
+    tokens = lines[i].split(separator)
+    j = token % (len(tokens) + (kind == "extra token"))  # -1 is the last place
+    if kind == "drop token":
+        del tokens[j]
+    elif kind == "bad token":
+        tokens[j] = bad_tokens[bad % len(bad_tokens)]
+    else:
+        tokens.insert(j, bad_tokens[bad % len(bad_tokens)])
+    lines[i] = separator.join(tokens)
+    return lines, kind == "bad token" and i > 0 and j == 0 and tokens[0] != '"'
+
+
+@pytest.mark.parametrize("name", list(_VAR_INPUTS))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=_DAMAGES)
+# one damage per reader check, read as (weights; value labels; config):
+@example(damage=("bad token", 1, 0, 0, 0))  # id '"'; id '"'; a line "nan"
+@example(damage=("bad token", 1, 0, 1, 1))  # weight nan; label nan; a line "bogus"
+@example(damage=("bad token", 1, 0, 1, 4))  # weight 1e; label 2; a blank line kept
+@example(damage=("bad token", 0, 0, 0, 3))  # header bogus,weight; bogus,t_1,...; a comment
+@example(damage=("bad token", 0, 0, 1, 3))  # header series_id,bogus; same; a comment
+@example(damage=("bad token", 6, 0, -1, 1))  # last weight nan; last label nan; method bogus
+@example(damage=("bad token", 8, 0, -1, 1))  # weight nan; label nan; quiet bogus
+@example(damage=("bad token", 5, 0, -1, 1))  # weight nan; label nan; h bogus
+@example(damage=("bad token", 2, 0, 0, 1))  # id nan; id nan; key bogus
+@example(damage=("extra token", 1, 0, -1, 3))  # a third field; a 381st value; a line "bogus"
+@example(damage=("swap lines", 1, 0, 0, 0))  # two series swapped; two series swapped; no change
+def test_a_damaged_var_input_exits_2_or_3_or_changes_nothing(
+        workdir, var_baselines, tmp_path_factory, capsys, name, damage):
+    intact, report = var_baselines[name]
+    _, separator, bad_tokens, flag = _VAR_INPUTS[name]
+    lines, parses = _damage(intact, separator, bad_tokens, damage)
+    root = tmp_path_factory.mktemp("damaged")
+    (root / name).write_text("".join(line + "\n" for line in lines))
+    code = _run_var_with(workdir, root / "out", flag, root / name)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # every change to a CSV counts: one that still parses names other series (exit 3)
+    if name == "config":
+        expected = _config_exit(intact, lines)
+    else:
+        expected = 0 if lines == intact else 3 if parses else 2
+    assert code == expected, err
+    if code == 0:
+        assert (root / "out" / "var_report.json").read_bytes() == report
+    else:
+        assert not list((root / "out").iterdir())
 
 
 # -- bench ---------------------------------------------------------------

@@ -11,19 +11,36 @@ from panelscan import density
 INV_SQRT_2PI = 0.3989422804014327
 
 
+def _pdf(model, x):
+    """The density estimate at the points x: the mean of the Gaussian kernels."""
+    z = (np.asarray(x, dtype=float)[..., None] - model.samples) / model.bandwidth
+    return np.exp(-0.5 * z * z).mean(axis=-1) * INV_SQRT_2PI / model.bandwidth
+
+
 def test_single_kernel_peak_height():
     # one sample, bandwidth 1: the density at the sample is 1/sqrt(2 pi)
     model = density.KdeModel(np.array([0.0]), 1.0)
-    assert density.pdf(model, 0.0) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
-    assert density.pdf(model, 1.0) == pytest.approx(INV_SQRT_2PI * np.exp(-0.5), rel=1e-12)
+    assert _pdf(model, 0.0) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+    assert _pdf(model, 1.0) == pytest.approx(INV_SQRT_2PI * np.exp(-0.5), rel=1e-12)
 
 
 def test_density_integrates_to_one():
+    # auc_below is the estimate's CDF: it rises from 0 to 1 across the samples,
+    # and the mass it puts between two points is the quadrature of the density
     rng = np.random.default_rng(0)
     model = density.fit_kde(rng.standard_normal(200))
-    grid = np.linspace(-8.0, 8.0, 20001)
-    mass = np.trapezoid(density.pdf(model, grid), grid)
-    assert mass == pytest.approx(1.0, abs=1e-6)
+    lo, hi = model.samples.min() - 8.0, model.samples.max() + 8.0
+    assert density.auc_below(model, lo) == pytest.approx(0.0, abs=1e-12)
+    assert density.auc_below(model, hi) == pytest.approx(1.0, abs=1e-12)
+    grid = np.linspace(lo, hi, 20001)
+    cdf = density.auc_below(model, grid)
+    assert np.all(np.diff(cdf) >= 0.0)
+    a, b = -1.3, 0.6
+    inner = np.linspace(a, b, 20001)
+    mass = np.trapezoid(_pdf(model, inner), inner)
+    assert density.auc_below(model, b) - density.auc_below(model, a) == pytest.approx(
+        mass, abs=1e-6)
+    assert np.trapezoid(_pdf(model, grid), grid) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_tail_masses_complement():
@@ -38,7 +55,7 @@ def test_tail_mass_matches_trapezoid_quadrature():
     model = density.fit_kde(rng.standard_normal(50))
     s = 0.8
     grid = np.linspace(s, 12.0, 40001)
-    numeric = np.trapezoid(density.pdf(model, grid), grid)
+    numeric = np.trapezoid(_pdf(model, grid), grid)
     assert density.auc_above(model, s) == pytest.approx(numeric, abs=1e-4)
 
 
@@ -150,7 +167,7 @@ def test_intersection_cutoff_between_separated_classes():
     assert 1.0 < cutoff < 3.0
     # equal-variance Gaussians cross at the midpoint of the means
     assert cutoff == pytest.approx(2.0, abs=0.3)
-    assert abs(density.pdf(low, cutoff) - density.pdf(high, cutoff)) < 0.05
+    assert abs(_pdf(low, cutoff) - _pdf(high, cutoff)) < 0.05
 
 
 def test_intersection_cutoff_minimizes_stray_mass():
@@ -182,6 +199,4 @@ def test_grid_evaluation_is_blocked_and_bit_identical(traced_peak):
     z = (grid[:, None] - small.samples[None, :]) / small.bandwidth
     assert density.auc_below(small, grid).tobytes() == ndtr(z).mean(axis=1).tobytes()
     assert density.auc_above(small, grid).tobytes() == ndtr(-z).mean(axis=1).tobytes()
-    scale = small.samples.size * small.bandwidth * np.sqrt(2.0 * np.pi)
-    assert density.pdf(small, grid).tobytes() == (np.exp(-0.5 * z * z).sum(axis=1) / scale).tobytes()
-    assert density.pdf(small, grid[7]) == density.pdf(small, grid)[7]
+    assert density.auc_below(small, grid[7]) == density.auc_below(small, grid)[7]

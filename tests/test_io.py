@@ -55,10 +55,12 @@ def test_panel_uses_lf_line_endings(tmp_path):
 
 
 def test_panel_custom_series_ids(tmp_path):
+    # the writers number series 0..n-1; a user's file may name them
     path = tmp_path / "panel.csv"
-    io.write_panel(path, np.ones((2, 2)), series_ids=["AAA", "BBB"])
-    ids, _ = io.read_panel(path)
+    path.write_text("series_id,t_1,t_2\nAAA,1,1\nBBB,1,1\n")
+    ids, prices = io.read_panel(path)
     assert ids == ["AAA", "BBB"]
+    np.testing.assert_array_equal(prices, np.ones((2, 2)))
 
 
 def test_read_panel_rejects_bad_header(tmp_path):
@@ -132,22 +134,25 @@ def test_write_panel_golden_bytes(tmp_path):
     # bytes written by the csv.writer/format(v, ".17g") writer the row format replaced
     values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0 / 3.0, 100.0]
     path = tmp_path / "panel.csv"
-    io.write_panel(path, [values, [-v for v in reversed(values)]],
-                   series_ids=["AAA", 'B,"x"'])
-    assert path.read_bytes() == (
-        b"series_id,t_1,t_2,t_3,t_4,t_5,t_6,t_7\n"
-        b"AAA,-0,4.9406564584124654e-324,2.2250738585072014e-308,1e+308,"
-        b"0.10000000000000001,0.33333333333333331,100\n"
-        b'"B,""x""",-100,-0.33333333333333331,-0.10000000000000001,-1e+308,'
-        b"-2.2250738585072014e-308,-4.9406564584124654e-324,0\n")
+    io.write_panel(path, [values, [-v for v in reversed(values)]])
+    rows = (b"-0,4.9406564584124654e-324,2.2250738585072014e-308,1e+308,"
+            b"0.10000000000000001,0.33333333333333331,100\n",
+            b"-100,-0.33333333333333331,-0.10000000000000001,-1e+308,"
+            b"-2.2250738585072014e-308,-4.9406564584124654e-324,0\n")
+    header = b"series_id,t_1,t_2,t_3,t_4,t_5,t_6,t_7\n"
+    assert path.read_bytes() == header + b"0," + rows[0] + b"1," + rows[1]
     ids, back = io.read_panel(path)
-    assert ids == ["AAA", 'B,"x"']
+    assert ids == ["0", "1"]
     assert back.tobytes() == np.array([values, [-v for v in reversed(values)]]).tobytes()
+    # csv.writer's bytes for the ids AAA and B,"x": the reader unquotes the second
+    path.write_bytes(header + b"AAA," + rows[0] + b'"B,""x""",' + rows[1])
+    ids, quoted = io.read_panel(path)
+    assert ids == ["AAA", 'B,"x"']
+    assert quoted.tobytes() == back.tobytes()
     io.write_value_labels(path, [[0, 1, 0], [1, 0, 1]])
     assert path.read_bytes() == b"series_id,t_1,t_2,t_3\n0,0,1,0\n1,1,0,1\n"
-    io.write_panel(path, [[1.5, -0.0], [2.0, 1e-300], [0.25, 3.0]],
-                   series_ids=[np.int64(-7), True, np.uint8(3)])
-    assert path.read_bytes() == b"series_id,t_1,t_2\n-7,1.5,-0\nTrue,2,1e-300\n3,0.25,3\n"
+    io.write_panel(path, [[1.5, -0.0], [2.0, 1e-300], [0.25, 3.0]])
+    assert path.read_bytes() == b"series_id,t_1,t_2\n0,1.5,-0\n1,2,1e-300\n2,0.25,3\n"
 
 
 # float64 bit patterns the writer must keep apart although some compare equal
@@ -158,47 +163,44 @@ _SPECIAL_BITS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738
     0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000BEEF00]
 _BLOCK_EDGE_ROWS = st.sampled_from([io._PANEL_BLOCK_ROWS - 1, io._PANEL_BLOCK_ROWS,
                                     io._PANEL_BLOCK_ROWS + 1, 1, 3])
-_PANEL_IDS = ["0", "AAA", 'B,"x"', 'q"', " 7", "", "\u00e9", np.int64(-3), True, 12]
 
 
-def _reference_panel_bytes(values, ids, spec):
-    # the per-value writer: csv.writer rows of format(v, spec) cells
+def _reference_panel_bytes(values, spec):
+    # the per-value writer: csv.writer rows of format(v, spec) cells, ids 0..n-1
     buffer = StringIO()
     out = csv.writer(buffer, lineterminator="\n")
     out.writerow(["series_id"] + [f"t_{j}" for j in range(1, values.shape[1] + 1)])
-    out.writerows([sid] + [format(v, spec) for v in row] for sid, row in zip(ids, values.tolist()))
+    out.writerows([sid] + [format(v, spec) for v in row]
+                  for sid, row in enumerate(values.tolist()))
     return buffer.getvalue().encode("utf-8")
 
 
 @st.composite
 def _pooled_panels(draw, values, dtype):
-    """(panel, ids): a block-edge row count of cells drawn from a small pool."""
+    """A block-edge row count of cells drawn from a small pool."""
     pool = np.array(draw(st.lists(values, min_size=1, max_size=8)), dtype=dtype)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (draw(_BLOCK_EDGE_ROWS), draw(st.integers(1, 5)))
-    ids = [_PANEL_IDS[i] for i in rng.integers(0, len(_PANEL_IDS), shape[0])]
-    return pool[rng.integers(0, pool.size, shape)], ids
+    return pool[rng.integers(0, pool.size, shape)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(drawn=_pooled_panels(st.sampled_from(_SPECIAL_BITS) | st.integers(0, 2**64 - 1),
                             np.uint64))
 def test_write_panel_matches_the_per_value_writer_on_repeated_floats(tmp_path_factory, drawn):
-    bits, ids = drawn
-    prices = bits.view(np.float64)
+    prices = drawn.view(np.float64)
     path = tmp_path_factory.mktemp("pooled") / "panel.csv"
-    io.write_panel(path, prices, series_ids=ids)
-    assert path.read_bytes() == _reference_panel_bytes(prices, ids, ".17g")
+    io.write_panel(path, prices)
+    assert path.read_bytes() == _reference_panel_bytes(prices, ".17g")
 
 
 @settings(max_examples=50, deadline=None)
 @given(drawn=_pooled_panels(st.sampled_from([0, 1]) | st.integers(-2**63, 2**63 - 1),
                             np.int64))
 def test_write_panel_matches_the_per_value_writer_on_int_labels(tmp_path_factory, drawn):
-    labels, ids = drawn
     path = tmp_path_factory.mktemp("pooled") / "labels.csv"
-    io.write_value_labels(path, labels, series_ids=ids)
-    assert path.read_bytes() == _reference_panel_bytes(labels, ids, "d")
+    io.write_value_labels(path, drawn)
+    assert path.read_bytes() == _reference_panel_bytes(drawn, "d")
 
 
 def test_sliding_windows_round_trip_bit_exact(tmp_path):
@@ -208,18 +210,14 @@ def test_sliding_windows_round_trip_bit_exact(tmp_path):
     windows, _, _ = simgen.slide(prices, np.zeros(prices.shape, dtype=int), 20)
     path = tmp_path / "windows.csv"
     io.write_panel(path, windows)
-    assert path.read_bytes() == _reference_panel_bytes(windows, range(len(windows)), ".17g")
+    assert path.read_bytes() == _reference_panel_bytes(windows, ".17g")
     ids, back = io.read_panel(path)
     assert ids == [str(i) for i in range(len(windows))]
     assert back.tobytes() == windows.tobytes()
 
 
-def test_write_panel_refuses_line_breaks_in_ids_and_empty_rows(tmp_path):
+def test_write_panel_refuses_a_panel_without_columns(tmp_path):
     path = tmp_path / "panel.csv"
-    for sid in ("a\nb", "a\rb"):
-        with pytest.raises(ValueError, match="line break"):
-            io.write_panel(path, np.ones((1, 2)), series_ids=[sid])
-    assert not path.exists()
     with pytest.raises(ValueError, match="at least one column"):
         io.write_panel(path, np.ones((2, 0)))
 
@@ -437,8 +435,10 @@ def test_read_params_validation(tmp_path):
 def test_weights_round_trip_bit_exact(tmp_path):
     path = tmp_path / "weights.csv"
     weights = _rng_matrix(5, 11)
-    io.write_weights(path, weights)
-    np.testing.assert_array_equal(io.read_weights(path), weights)
+    io.write_rows(path, ["series_id", "weight"], zip(range(weights.size), weights))
+    ids, back = io.read_weights(path)
+    assert ids == ["0", "1", "2", "3", "4"]
+    np.testing.assert_array_equal(back, weights)
 
 
 def test_read_weights_validation(tmp_path):
@@ -461,7 +461,9 @@ def test_read_weights_rejects_rows_without_two_fields(tmp_path):
         with pytest.raises(ValueError, match="needs 2 fields"):
             io.read_weights(path)
     path.write_text("series_id,weight\n0,0.5\n\n1,0.5\n")  # blank lines are skipped
-    np.testing.assert_array_equal(io.read_weights(path), [0.5, 0.5])
+    ids, weights = io.read_weights(path)
+    assert ids == ["0", "1"]
+    np.testing.assert_array_equal(weights, [0.5, 0.5])
 
 
 NON_FINITE = ("nan", "inf", "-inf", "1e400")
@@ -838,8 +840,6 @@ def test_table_writers_golden_bytes(tmp_path):
                               mu=np.array([-0.0, 0.1, 1e308]),
                               sigma=np.array([0.2, 2.2250738585072014e-308, 0.0]), dt=1.0 / 252.0)
     io.write_params(tmp_path / "params.csv", panel)
-    io.write_weights(tmp_path / "weights.csv", [0.5, -1.0 / 3.0, 1e-5],
-                     series_ids=["AAA", 'B,"x"', 7])
     io.write_labels(tmp_path / "labels.csv", np.array([1, 0, 1]), np.array([3, 5, 206]))
     io.write_training_log(tmp_path / "log.csv", [
         scorer.TrainLogRow(0, 1.5, 0.5, 0.25, 0.75, -0.125),
@@ -853,8 +853,6 @@ def test_table_writers_golden_bytes(tmp_path):
         "params.csv": b"series_id,s0,mu,sigma\n0,100,-0,0.20000000000000001\n"
                       b"1,0.33333333333333331,0.10000000000000001,2.2250738585072014e-308\n"
                       b"2,4.9406564584124654e-324,1e+308,0\n",
-        "weights.csv": b'series_id,weight\nAAA,0.5\n"B,""x""",-0.33333333333333331\n'
-                       b"7,1.0000000000000001e-05\n",
         "labels.csv": b"row_id,A,L\n0,1,3\n1,0,\n2,1,206\n",
         "log.csv": b"iter,loss,bce,auc_u,auc_c,s\n0,1.5,0.5,0.25,0.75,-0.125\n"
                    b"1,0.33333333333333331,0.10000000000000001,4.9406564584124654e-324,-0,"

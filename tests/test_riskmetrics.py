@@ -50,7 +50,7 @@ def test_simulated_return_moments_match_theory():
     cfg = simgen.DiffusionConfig(n_stocks=1, n_steps=100001, dt=dt,
                                  correlation=0.0, seed=5)
     panel = simgen.simulate_gbm(cfg)
-    returns = riskmetrics.log_returns(panel, 1)[0]
+    returns = riskmetrics.log_returns(panel.prices, 1)[0]
     mu, sigma = float(panel.mu[0]), float(panel.sigma[0])
     n = returns.size
     expected_mean = (mu - 0.5 * sigma**2) * dt
@@ -72,16 +72,16 @@ def test_var_estimates_price_each_variant_against_theo():
 
     def fitted(prices):
         model = riskmetrics.estimate_params(riskmetrics.log_returns(prices))
-        return riskmetrics.portfolio_var(model, portfolio, 0.99).value
+        return riskmetrics.portfolio_var(model, portfolio, 0.99)
 
     theo = riskmetrics.portfolio_var(
         riskmetrics.theoretical_return_model(clean.mu, clean.sigma, 0.5, clean.dt),
-        portfolio, 0.99, source="theo")
-    assert estimates["theo"].value == theo.value
-    assert estimates["clean"].value == fitted(clean.prices)
-    assert estimates["anom"].value == estimates["loc_pred"].value == fitted(dirty.prices)
-    assert estimates["loc_true"].value == fitted(workflows.impute_panel(dirty.prices, truth))
-    assert estimates["loc_true"].value != estimates["anom"].value
+        portfolio, 0.99)
+    assert estimates["theo"] == theo
+    assert estimates["clean"] == fitted(clean.prices)
+    assert estimates["anom"] == estimates["loc_pred"] == fitted(dirty.prices)
+    assert estimates["loc_true"] == fitted(workflows.impute_panel(dirty.prices, truth))
+    assert estimates["loc_true"] != estimates["anom"]
     assert set(errors) == {"clean", "anom", "loc_true", "loc_pred"}
     for tag, pair in errors.items():
         assert pair == riskmetrics.var_errors(theo, estimates[tag])
@@ -121,9 +121,8 @@ def test_portfolio_var_standard_normal_case():
     # mu_P = 0, sigma_P = 1 reduces to the alpha-quantile itself
     model = riskmetrics.ReturnModel(mu=np.zeros(1), sigma=np.eye(1))
     port = riskmetrics.Portfolio(weights=[1.0])
-    est = riskmetrics.portfolio_var(model, port, 0.99)
-    assert est.value == pytest.approx(2.326347874040839, abs=1e-9)
-    assert est.alpha == 0.99 and est.source == "clean"
+    assert riskmetrics.portfolio_var(model, port, 0.99) == pytest.approx(
+        2.326347874040839, abs=1e-9)
 
 
 def test_portfolio_var_unit_vector_reduces_to_single_asset():
@@ -134,13 +133,13 @@ def test_portfolio_var_unit_vector_reduces_to_single_asset():
     single = riskmetrics.portfolio_var(
         riskmetrics.ReturnModel(mu=mu[1:2], sigma=cov[1:2, 1:2]),
         riskmetrics.Portfolio([1.0]), 0.95)
-    assert whole.value == pytest.approx(single.value, rel=1e-12)
+    assert whole == pytest.approx(single, rel=1e-12)
 
 
 def test_portfolio_var_monotone_in_alpha():
     model = riskmetrics.ReturnModel(mu=np.array([0.002]), sigma=np.array([[0.3]]))
     port = riskmetrics.Portfolio([2.0])
-    values = [riskmetrics.portfolio_var(model, port, a).value
+    values = [riskmetrics.portfolio_var(model, port, a)
               for a in (0.6, 0.75, 0.9, 0.95, 0.99, 0.995)]
     assert np.all(np.diff(values) > 0)
 
@@ -150,8 +149,8 @@ def test_portfolio_var_positive_homogeneous_in_weights():
     a = rng.standard_normal((3, 3))
     model = riskmetrics.ReturnModel(mu=rng.standard_normal(3), sigma=a @ a.T)
     w = rng.standard_normal(3)
-    base = riskmetrics.portfolio_var(model, riskmetrics.Portfolio(w), 0.9).value
-    scaled = riskmetrics.portfolio_var(model, riskmetrics.Portfolio(3.5 * w), 0.9).value
+    base = riskmetrics.portfolio_var(model, riskmetrics.Portfolio(w), 0.9)
+    scaled = riskmetrics.portfolio_var(model, riskmetrics.Portfolio(3.5 * w), 0.9)
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
 
@@ -159,15 +158,14 @@ def test_portfolio_var_validation():
     model = riskmetrics.ReturnModel(mu=np.zeros(2), sigma=np.eye(2))
     with pytest.raises(ValueError):
         riskmetrics.portfolio_var(model, riskmetrics.Portfolio([1.0]), 0.99)
-    with pytest.raises(ValueError):
-        riskmetrics.portfolio_var(model, riskmetrics.Portfolio([1.0, 1.0]), 0.4)
+    for alpha in (0.4, 0.5, 1.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0\.5, 1\)"):
+            riskmetrics.portfolio_var(model, riskmetrics.Portfolio([1.0, 1.0]), alpha)
     bad = riskmetrics.ReturnModel(mu=np.zeros(1), sigma=np.array([[-1.0]]))
     with pytest.raises(ValueError):
         riskmetrics.portfolio_var(bad, riskmetrics.Portfolio([1.0]), 0.99)
     with pytest.raises(ValueError):
         riskmetrics.Portfolio([np.nan, 1.0])
-    with pytest.raises(ValueError):
-        riskmetrics.VarEstimate(value=1.0, alpha=0.99, horizon=1, source="bogus")
 
 
 def test_theoretical_return_model_from_gbm_parameters():
@@ -178,7 +176,6 @@ def test_theoretical_return_model_from_gbm_parameters():
     np.testing.assert_allclose(model.mu, (mu - 0.5 * sigma**2) * dt * 3, rtol=1e-12)
     assert model.sigma[0, 0] == pytest.approx(0.04 * dt * 3, rel=1e-12)
     assert model.sigma[0, 1] == pytest.approx(0.5 * 0.2 * 0.1 * dt * 3, rel=1e-12)
-    assert model.horizon == 3
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             riskmetrics.theoretical_return_model(mu, sigma, 0.5, bad)
@@ -188,8 +185,7 @@ def test_theoretical_return_model_from_gbm_parameters():
 
 
 def test_var_errors_zero_and_scale_invariance():
-    theo = riskmetrics.VarEstimate(value=0.55, alpha=0.99, horizon=1, source="theo")
-    assert riskmetrics.var_errors(theo, theo) == (0.0, 0.0)
+    assert riskmetrics.var_errors(0.55, 0.55) == (0.0, 0.0)
     absolute, relative = riskmetrics.var_errors(0.5, 0.6)
     assert absolute == pytest.approx(0.1, rel=1e-12)
     assert relative == pytest.approx(0.2, rel=1e-12)

@@ -13,7 +13,7 @@ from panelscan import density, pcafeat, scorer
 SYMMETRIC_LOSS = 1.6931471805599453
 # d loss / d W for that case with inputs -1/+1: -(2 * (0.25 + phi(0)))
 SYMMETRIC_W_GRAD = -1.2978845608028654
-# minibatch training of _imbalanced_set() with batch_size=4, where most
+# minibatch training of _imbalanced_set() with 4-row batches, where most
 # batches hold one class, as the loop before the merged gradient path
 # recorded it: (loss, cut-off) per iteration
 MINIBATCH_HISTORY = (
@@ -322,9 +322,6 @@ def test_training_refuses_meaningless_configurations_before_any_work(monkeypatch
     for dims in ((0,), (8, 0), (-3,)):
         with pytest.raises(ValueError, match="hidden widths must be >= 1"):
             scorer.train(X, A, scorer.TrainConfig(hidden_dims=dims))
-    for size in (0, None):
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            scorer.train(X, A, scorer.TrainConfig(batch_size=size))
     assert threading.active_count() == threads
 
 
@@ -389,9 +386,10 @@ def test_training_history_row_matches_its_iterate_across_the_lookahead():
         assert full.history[k] == run(k).history[-1]
 
 
-def test_minibatch_training_history_is_unchanged():
+def test_minibatch_training_history_is_unchanged(monkeypatch):
+    monkeypatch.setattr(scorer, "BATCH_SIZE", 4)
     X, A = _imbalanced_set()
-    cfg = scorer.TrainConfig(hidden_dims=(5,), max_iters=24, batch_size=4, seed=7)
+    cfg = scorer.TrainConfig(hidden_dims=(5,), max_iters=24, seed=7)
     result = scorer.train(X, A, cfg)
     assert [row.iteration for row in result.history] == list(range(25))
     # rel 1e-12 leaves room for other BLAS kernels; a wrong iterate is off by far more
