@@ -140,9 +140,14 @@ def _load_model(args):
 
 
 def _read_window_set(args, need_labels):
-    _, windows = _read(io.read_panel, args.windows)
+    """Windows, and with need_labels their A and L, paired by row id: the window
+    ids must run 0..n-1 in order, as read_labels requires of the labels' row_id."""
+    ids, windows = _read(io.read_panel, args.windows)
     if not need_labels:
         return windows, None, None
+    for row_id, sid in enumerate(ids):
+        if sid != str(row_id):
+            raise ValueError(f"{args.windows}: window row id {sid!r} where {row_id} belongs")
     A, L = _read(io.read_labels, args.labels)
     if A.size != windows.shape[0]:
         raise ValueError(f"{A.size} labels for {windows.shape[0]} window rows")
@@ -316,7 +321,7 @@ def cmd_bench(args):
     started = time.perf_counter()
     for seed in seeds:
         t0 = time.perf_counter()
-        result = workflows.reference_run(replace(base, seed=seed, train=None))
+        result = workflows.reference_run(replace(base, seed=seed))
         runs.append(result)
         _say(args, f"seed {seed}: test F1 "
                    f"{result.summary['ident_test'].f1:.4f} "

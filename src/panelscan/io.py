@@ -2,19 +2,22 @@
 
 Every file is UTF-8 with LF line endings and `.` as the decimal point.
 Floats are written with 17 significant digits, so write/read round trips
-reproduce the in-memory values bit-exactly. Panel-layout files (panels,
-windows, value labels) go through two kernels: `write_panel` formats each
-distinct value of a block of rows once and joins the cached strings, and
-`read_panel` parses every value with one `np.loadtxt` call fed row by row
-from the open file, so a panel read holds one line besides its n x T float
-array. Panel writers number the series 0..n-1; `read_panel` keeps each row's
-id as the file spells it, csv-quoted ids included. Readers raise ValueError
-on malformed content, including non-finite numbers, a model count (k, p,
-dims) that is not written in decimal digits, and a PCA model that is not a
-basis (k outside 1..p, negative or ascending eigenvalues, omega rows not
-orthonormal to 1e-9), and OSError on filesystem problems; the CLI maps those
-to its exit codes. JSON reports write non-finite floats as null, never as
-bare NaN or Infinity.
+reproduce the in-memory values bit-exactly. Three readers take files apart:
+`read_panel` (panels, windows, value labels) streams rows into one
+`np.loadtxt` call and keeps each row's id as the file spells it;
+`_read_table` (params, weights, window labels, detect reports) checks the
+header, skips blank rows and wants one field per column in every other row;
+`_ModelCursor` (`pca.txt`, `net.txt`) checks the format tag, then reads
+tagged value lines and name-headed matrix blocks in order, with no line
+missing and none left over. All three share one number grammar: a float
+reads as `np.loadtxt` reads it (what `float` takes, less underscores and
+non-ASCII characters), and a count (k, p, dims, label A and L, a report's
+ids, flags, locations and iterations) is ASCII decimal digits only. Readers
+raise ValueError on malformed content, including non-finite numbers and a
+PCA model that is not a basis (k outside 1..p, negative or ascending
+eigenvalues, omega rows not orthonormal to 1e-9), and OSError on filesystem
+problems; the CLI maps those to its exit codes. JSON reports write
+non-finite floats as null, never as bare NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -48,19 +51,34 @@ def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
-def _read_rows(path):
+def _read_table(path, header, what):
+    """The rows after a CSV table's header: blank rows dropped, every other row
+    holding one field per header column. ValueError on any other header."""
     with open(path, encoding="utf-8", newline="") as handle:
         try:
-            return list(csv.reader(handle))
+            rows = list(csv.reader(handle))
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
             raise ValueError(f"{path}: {exc}") from exc
+    if not rows or rows[0] != header:
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    body = [row for row in rows[1:] if row]
+    for row in body:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: {what} row {row!r} needs {len(header)} fields, "
+                             f"got {len(row)}")
+    return body
 
 
 def _parse_float(text, path, what):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed {what} {text!r}") from exc
+    """A float as np.loadtxt reads a cell: what float() takes, less underscores
+    and non-ASCII characters once the padding whitespace is stripped."""
+    stripped = text.strip()
+    if stripped.isascii() and "_" not in stripped:
+        try:
+            return float(stripped)
+        except ValueError:
+            pass
+    raise ValueError(f"{path}: malformed {what} {text!r}")
 
 
 def _parse_count(text, path, what):
@@ -196,18 +214,11 @@ def write_params(path, panel):
 
 
 def read_params(path):
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["series_id", "s0", "mu", "sigma"]:
-        raise ValueError(f"{path}: expected header series_id,s0,mu,sigma")
-    cols = [[], [], []]
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise ValueError(f"{path}: params row needs 4 fields, got {len(row)}")
-        for store, value, name in zip(cols, row[1:], ("s0", "mu", "sigma")):
-            store.append(_parse_float(value, path, name))
-    if not cols[0]:
+    rows = _read_table(path, ["series_id", "s0", "mu", "sigma"], "params")
+    if not rows:
         raise ValueError(f"{path}: params file has no series")
-    s0, mu, sigma = (_finite(c, path, name) for c, name in zip(cols, ("s0", "mu", "sigma")))
+    s0, mu, sigma = (_finite([_parse_float(row[column], path, name) for row in rows], path, name)
+                     for column, name in enumerate(("s0", "mu", "sigma"), start=1))
     if np.any(s0 <= 0):
         raise ValueError(f"{path}: s0 must be positive")
     if np.any(sigma < 0):
@@ -216,21 +227,12 @@ def read_params(path):
 
 
 def read_weights(path):
-    """(series ids, weights) from a series_id,weight CSV; blank lines are skipped."""
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["series_id", "weight"]:
-        raise ValueError(f"{path}: expected header series_id,weight")
-    ids, values = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"{path}: weights row {row!r} needs 2 fields, got {len(row)}")
-        ids.append(row[0])
-        values.append(_parse_float(row[1], path, "weight"))
-    if not values:
+    """(series ids, weights) from a series_id,weight table; ids as the file spells them."""
+    rows = _read_table(path, ["series_id", "weight"], "weights")
+    if not rows:
         raise ValueError(f"{path}: weights file has no rows")
-    return ids, _finite(values, path, "weight")
+    return ([row[0] for row in rows],
+            _finite([_parse_float(row[1], path, "weight") for row in rows], path, "weight"))
 
 
 # -- window labels -----------------------------------------------------------
@@ -248,13 +250,8 @@ def write_labels(path, A, L):
 
 def read_labels(path):
     """(A, L) from a label CSV; A and L only as write_labels writes them, in ASCII digits."""
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["row_id", "A", "L"]:
-        raise ValueError(f"{path}: expected header row_id,A,L")
     A, L = [], []
-    for row_id, row in enumerate(rows[1:]):
-        if len(row) != 3:
-            raise ValueError(f"{path}: label row needs 3 fields, got {len(row)}")
+    for row_id, row in enumerate(_read_table(path, ["row_id", "A", "L"], "label")):
         if row[0] != str(row_id):
             raise ValueError(f"{path}: row_id {row[0]!r} where {row_id} belongs")
         a = _parse_count(row[1], path, "label A")
@@ -287,47 +284,57 @@ def write_pca_model(path, model: PcaModel):
             handle.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def _split_tagged(line, tag, path, count=None, parse=_parse_float):
-    parts = line.split()
-    if not parts or parts[0] != tag:
-        raise ValueError(f"{path}: expected a {tag!r} line, got {line!r}")
-    values = [parse(v, path, tag) for v in parts[1:]]
-    if count is not None and len(values) != count:
-        raise ValueError(f"{path}: {tag} needs {count} values, got {len(values)}")
-    return values
+class _ModelCursor:
+    """A model file's lines after its format tag, read in order. Each read
+    raises ValueError when the file ends first or the line is not what the
+    format puts there; `end` refuses a line left over."""
+
+    def __init__(self, path, tag):
+        with open(path, encoding="utf-8") as handle:
+            self.lines = [line.rstrip("\n") for line in handle]
+        if not self.lines or self.lines[0] != tag:
+            raise ValueError(f"{path}: not a {tag} file")
+        self.path, self.at = path, 1
+
+    def _numbers(self, what, count, parse=_parse_float, tag=None):
+        if self.at == len(self.lines):
+            raise ValueError(f"{self.path}: truncated file: no {what} line")
+        line = self.lines[self.at]
+        self.at += 1
+        tokens = line.split()
+        if tag is not None:
+            if tokens[:1] != [tag]:
+                raise ValueError(f"{self.path}: expected a {tag!r} line, got {line!r}")
+            tokens = tokens[1:]
+        if count is not None and len(tokens) != count:
+            raise ValueError(f"{self.path}: {what} has {len(tokens)} values, expected {count}")
+        return [parse(v, self.path, what) for v in tokens]
+
+    def values(self, tag, count=None, parse=_parse_float):
+        """The numbers on a `tag v1 v2 ...` line; `count` of them when given."""
+        return self._numbers(tag, count, parse, tag)
+
+    def matrix(self, name, rows, columns):
+        """A line reading `name`, then `rows` lines of `columns` floats each."""
+        self.values(name, 0)
+        return [self._numbers(f"{name} row {i}", columns) for i in range(rows)]
+
+    def end(self, after):
+        if self.at < len(self.lines):
+            raise ValueError(f"{self.path}: unexpected line {self.lines[self.at]!r} after {after}")
 
 
 def read_pca_model(path) -> PcaModel:
-    with open(path, encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or lines[0] != PCA_FORMAT_TAG:
-        raise ValueError(f"{path}: not a {PCA_FORMAT_TAG} file")
-    try:
-        k = _split_tagged(lines[1], "k", path, 1, _parse_count)[0]
-        p = _split_tagged(lines[2], "p", path, 1, _parse_count)[0]
-        if not 1 <= k <= p:
-            raise ValueError(f"{path}: k must lie in 1..{p}, got {k}")
-        mean = np.asarray(_split_tagged(lines[3], "mean", path, p))
-        eigenvalues = np.asarray(_split_tagged(lines[4], "eigenvalues", path, k))
-        if lines[5] != "omega":
-            raise ValueError(f"{path}: expected the omega section, got {lines[5]!r}")
-        if len(lines) < 6 + k:
-            raise ValueError(f"{path}: omega needs {k} rows")
-        omega = []
-        for i in range(k):
-            row = [_parse_float(v, path, "omega") for v in lines[6 + i].split()]
-            if len(row) != p:
-                raise ValueError(f"{path}: omega row {i} has {len(row)} values, expected {p}")
-            omega.append(row)
-        omega = np.asarray(omega)
-    except IndexError as exc:
-        raise ValueError(f"{path}: truncated PCA model file") from exc
-    if len(lines) > 6 + k:
-        raise ValueError(f"{path}: unexpected line {lines[6 + k]!r} after the {k} omega rows")
-    if omega.shape != (k, p):
-        raise ValueError(f"{path}: omega shape {omega.shape} != ({k}, {p})")
-    model = PcaModel(mean=_finite(mean, path, "mean"), omega=_finite(omega, path, "omega"),
-                     eigenvalues=_finite(eigenvalues, path, "eigenvalues"), k=k)
+    lines = _ModelCursor(path, PCA_FORMAT_TAG)
+    k, = lines.values("k", 1, _parse_count)
+    p, = lines.values("p", 1, _parse_count)
+    if not 1 <= k <= p:
+        raise ValueError(f"{path}: k must lie in 1..{p}, got {k}")
+    mean = _finite(lines.values("mean", p), path, "mean")
+    eigenvalues = _finite(lines.values("eigenvalues", k), path, "eigenvalues")
+    omega = _finite(lines.matrix("omega", k, p), path, "omega")
+    lines.end(f"the {k} omega rows")
+    model = PcaModel(mean=mean, omega=omega, eigenvalues=eigenvalues, k=k)
     _require_basis(model, path)
     return model
 
@@ -360,40 +367,20 @@ def write_network(path, net: ScoringNetwork):
 
 
 def read_network(path) -> ScoringNetwork:
-    with open(path, encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or lines[0] != NET_FORMAT_TAG:
-        raise ValueError(f"{path}: not a {NET_FORMAT_TAG} file")
-    try:
-        dims = _split_tagged(lines[1], "dims", path, parse=_parse_count)
-        tau = _split_tagged(lines[2], "tau", path, 1)[0]
-        s = _split_tagged(lines[3], "s", path, 1)[0]
-        if len(dims) < 2 or dims[-1] != 1:
-            raise ValueError(f"{path}: dims must end in 1, got {dims}")
-        weights, biases = [], []
-        cursor = 4
-        for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]), start=1):
-            if lines[cursor] != f"W{layer}":
-                raise ValueError(f"{path}: expected W{layer}, got {lines[cursor]!r}")
-            cursor += 1
-            W = np.asarray([
-                [_parse_float(v, path, f"W{layer}") for v in lines[cursor + r].split()]
-                for r in range(fan_out)
-            ])
-            cursor += fan_out
-            if W.shape != (fan_out, fan_in):
-                raise ValueError(f"{path}: W{layer} shape {W.shape} != ({fan_out}, {fan_in})")
-            b = np.asarray(_split_tagged(lines[cursor], f"b{layer}", path, fan_out))
-            cursor += 1
-            weights.append(_finite(W, path, f"W{layer}"))
-            biases.append(_finite(b, path, f"b{layer}"))
-    except IndexError as exc:
-        raise ValueError(f"{path}: truncated network file") from exc
-    if len(lines) > cursor:
-        raise ValueError(f"{path}: unexpected line {lines[cursor]!r} after b{len(dims) - 1}")
+    lines = _ModelCursor(path, NET_FORMAT_TAG)
+    dims = lines.values("dims", parse=_parse_count)
+    if len(dims) < 2 or dims[-1] != 1 or 0 in dims:
+        raise ValueError(f"{path}: dims must be positive and end in 1, got {dims}")
+    tau, = lines.values("tau", 1)
+    s, = lines.values("s", 1)
     _finite([tau, s], path, "tau or s")
     if tau <= 0:
         raise ValueError(f"{path}: tau must be positive, got {tau!r}")
+    weights, biases = [], []
+    for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]), start=1):
+        weights.append(_finite(lines.matrix(f"W{layer}", fan_out, fan_in), path, f"W{layer}"))
+        biases.append(_finite(lines.values(f"b{layer}", fan_out), path, f"b{layer}"))
+    lines.end(f"b{len(dims) - 1}")
     return ScoringNetwork(layer_dims=dims, weights=weights, biases=biases,
                           cutoff=s, temperature=tau)
 
@@ -419,23 +406,16 @@ def write_detect_report(path, reports):
 
 
 def read_detect_report(path):
-    """Rows as dicts with parsed pred_A/score/locations/iterations."""
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["row_id", "pred_A", "score", "locations", "iterations"]:
-        raise ValueError(f"{path}: expected a detect report header")
-    parsed = []
-    for row in rows[1:]:
-        if len(row) != 5:
-            raise ValueError(f"{path}: report row needs 5 fields, got {len(row)}")
-        locations = [int(v) for v in row[3].split(";")] if row[3] else []
-        parsed.append({
-            "row_id": int(row[0]),
-            "pred_A": int(row[1]),
-            "score": _parse_float(row[2], path, "score"),
-            "locations": locations,
-            "iterations": int(row[4]),
-        })
-    return parsed
+    """Rows as dicts with parsed pred_A/score/locations/iterations; counts in ASCII digits."""
+    rows = _read_table(path, ["row_id", "pred_A", "score", "locations", "iterations"], "report")
+    return [{
+        "row_id": _parse_count(row[0], path, "row_id"),
+        "pred_A": _parse_count(row[1], path, "pred_A"),
+        "score": _parse_float(row[2], path, "score"),
+        "locations": [_parse_count(v, path, "location") for v in row[3].split(";")]
+                     if row[3] else [],
+        "iterations": _parse_count(row[4], path, "iterations"),
+    } for row in rows]
 
 
 def write_rows(path, header, rows):

@@ -134,11 +134,10 @@ def fit_model(windows, A, latent_dim, train_cfg: scorer.TrainConfig):
     return detector.DetectionModel(pca=pca, net=result.network), result
 
 
-def fit_detector(bundle: DatasetBundle, train_cfg: scorer.TrainConfig = None):
+def fit_detector(bundle: DatasetBundle):
     """fit_model on the bundle's train rows; by default trains with a derived seed."""
     cfg = bundle.config
-    if train_cfg is None:
-        train_cfg = cfg.train
+    train_cfg = cfg.train
     if train_cfg is None:
         train_cfg = scorer.TrainConfig(seed=derive_seed(cfg.seed, "train_net"))
     return fit_model(bundle.train.windows, bundle.train.ident_labels, cfg.latent_dim, train_cfg)

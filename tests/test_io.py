@@ -412,11 +412,8 @@ def test_params_round_trip_bit_exact(tmp_path):
 
 def test_read_params_validation(tmp_path):
     path = tmp_path / "params.csv"
-    path.write_text("series_id,s0,mu\n")
-    with pytest.raises(ValueError):
-        io.read_params(path)
-    path.write_text("series_id,s0,mu,sigma\n0,1.0,0.1\n")
-    with pytest.raises(ValueError):
+    path.write_text("series_id,s0,mu,sigma\n0,1_00,0.1,0.0_5\n")  # float() reads 100 and 0.05
+    with pytest.raises(ValueError, match="malformed s0 '1_00'"):
         io.read_params(path)
     path.write_text("series_id,s0,mu,sigma\n")
     with pytest.raises(ValueError, match="no series"):
@@ -443,9 +440,6 @@ def test_weights_round_trip_bit_exact(tmp_path):
 
 def test_read_weights_validation(tmp_path):
     path = tmp_path / "weights.csv"
-    path.write_text("series_id,w\n0,0.5\n")
-    with pytest.raises(ValueError):
-        io.read_weights(path)
     path.write_text("series_id,weight\n")
     with pytest.raises(ValueError, match="no rows"):
         io.read_weights(path)
@@ -454,16 +448,50 @@ def test_read_weights_validation(tmp_path):
         io.read_weights(path)
 
 
-def test_read_weights_rejects_rows_without_two_fields(tmp_path):
-    path = tmp_path / "weights.csv"
-    for bad_row in ("1", "1,0.5,9"):
-        path.write_text(f"series_id,weight\n0,0.5\n{bad_row}\n")
-        with pytest.raises(ValueError, match="needs 2 fields"):
-            io.read_weights(path)
-    path.write_text("series_id,weight\n0,0.5\n\n1,0.5\n")  # blank lines are skipped
-    ids, weights = io.read_weights(path)
-    assert ids == ["0", "1"]
-    np.testing.assert_array_equal(weights, [0.5, 0.5])
+# reader, header and two rows of each table CSV
+_TABLES = {
+    "params": (io.read_params, "series_id,s0,mu,sigma", ["0,100,0.1,0.2", "1,97.5,-0.1,0"]),
+    "weights": (io.read_weights, "series_id,weight", ["0,0.5", "1,0.25"]),
+    "labels": (io.read_labels, "row_id,A,L", ["0,1,3", "1,0,"]),
+    "report": (io.read_detect_report, "row_id,pred_A,score,locations,iterations",
+               ["0,1,0.5,3;7,2", "1,0,-0.25,,0"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLES))
+def test_table_readers_share_the_header_field_count_and_blank_row_rules(tmp_path, name):
+    reader, header, rows = _TABLES[name]
+    path = tmp_path / f"{name}.csv"
+
+    def read(*lines):
+        path.write_text("".join(line + "\n" for line in lines))
+        return reader(path)
+
+    np.testing.assert_equal(read(header, "", rows[0], "", rows[1], ""), read(header, *rows))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected header {header}")):
+        read(header.rsplit(",", 1)[0], *rows)
+    width = header.count(",") + 1
+    for row, got in ((rows[0].rsplit(",", 1)[0], width - 1), (rows[0] + ",1", width + 1)):
+        with pytest.raises(ValueError, match=re.escape(f"row {row.split(',')!r} needs "
+                                                       f"{width} fields, got {got}")):
+            read(header, row, rows[1])
+
+
+@pytest.mark.parametrize("token, value", [
+    ("1_0", None), ("\u0663", None), (" 1.5", 1.5), ("\u00a01.5", 1.5), ("+1", 1.0),
+    (".5", 0.5), ("inf", np.inf), ("nan", np.nan),
+])
+def test_parse_float_reads_a_cell_as_np_loadtxt_does(token, value):
+    # value None: refused; float() itself reads 1_0 as 10 and the Arabic-Indic digit as 3
+    def loadtxt():
+        return np.loadtxt([token], delimiter=",", dtype=float, comments=None, ndmin=1)[0]
+
+    for read in (loadtxt, lambda: io._parse_float(token, "f.csv", "cell")):
+        if value is None:
+            with pytest.raises(ValueError):
+                read()
+        else:
+            np.testing.assert_array_equal(read(), value)
 
 
 NON_FINITE = ("nan", "inf", "-inf", "1e400")
@@ -523,9 +551,6 @@ def test_write_labels_length_mismatch():
 
 def test_read_labels_validation(tmp_path):
     path = tmp_path / "rows.csv"
-    path.write_text("row,A,L\n")
-    with pytest.raises(ValueError):
-        io.read_labels(path)
     path.write_text("row_id,A,L\n0,2,1\n")
     with pytest.raises(ValueError, match="0 or 1"):
         io.read_labels(path)
@@ -534,9 +559,6 @@ def test_read_labels_validation(tmp_path):
         io.read_labels(path)
     path.write_text("row_id,A,L\n0,one,2\n")
     with pytest.raises(ValueError, match="malformed label"):
-        io.read_labels(path)
-    path.write_text("row_id,A,L\n0,1\n")
-    with pytest.raises(ValueError, match="3 fields"):
         io.read_labels(path)
 
 
@@ -815,13 +837,14 @@ def test_detect_report_round_trip(tmp_path):
 
 
 def test_read_detect_report_validation(tmp_path):
+    # int() and float() accept each bad cell: "1_0; 3" reads as locations [10, 3]
     path = tmp_path / "detect.csv"
-    path.write_text("row_id,pred,score,locations,iterations\n")
-    with pytest.raises(ValueError):
-        io.read_detect_report(path)
-    path.write_text("row_id,pred_A,score,locations,iterations\n0,1,0.5,3\n")
-    with pytest.raises(ValueError, match="5 fields"):
-        io.read_detect_report(path)
+    for row, what in (("1_0,1,0.5,3,2", "row_id '1_0'"), ("0,+1,0.5,3,2", "pred_A '+1'"),
+                      ("0,1,0_5,3,2", "score '0_5'"), ("0,1,0.5,1_0; 3,2", "location '1_0'"),
+                      ("0,1,0.5,3; 3,2", "location ' 3'"), ("0,1,0.5,3,+2", "iterations '+2'")):
+        path.write_text(f"row_id,pred_A,score,locations,iterations\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"malformed {what}")):
+            io.read_detect_report(path)
 
 
 def test_write_rows_formats_numbers_only(tmp_path):
