@@ -6,7 +6,9 @@ with the same inputs reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 I/O or parse problem, 3 validation or dimension
 problem, 4 numerical failure. Options may also come from a flat key=value
-config file (--config); explicit flags win over config values.
+config file (--config): each line is parsed as the flag --key=value, placed
+before the command line's own flags, so a config value is checked exactly as
+that flag is, with the same messages, and an explicit flag wins.
 """
 
 from __future__ import annotations
@@ -26,17 +28,11 @@ class InputError(Exception):
     """I/O or parse problem; maps to exit code 2."""
 
 
-def _read(reader, path, *args, **kwargs):
+def _read(reader, path):
+    """reader(path), with malformed content as an InputError; main maps OSError."""
     try:
-        return reader(path, *args, **kwargs)
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _write(writer, path, *args, **kwargs):
-    try:
-        writer(path, *args, **kwargs)
-    except OSError as exc:
+        return reader(path)
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -54,7 +50,7 @@ def _out_path(args, name):
 
 def _hidden_dims(text):
     try:
-        dims = tuple(int(v) for v in str(text).split(",") if v != "")
+        dims = tuple(int(v) for v in text.split(",") if v != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad hidden layer list {text!r}")
     if not dims or any(d < 1 for d in dims):
@@ -66,60 +62,33 @@ def _hidden_dims(text):
 
 def _load_config(path):
     """Flat key=value lines; '#' starts a comment; blank lines ignored."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.readlines()
     config = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise InputError(f"{path}:{lineno}: expected key=value, got {text!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, value = text.split("=", 1)
         config[key.strip()] = value.strip()
     return config
 
 
-def _coerce_like(action, raw, key):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return isinstance(action, argparse._StoreTrueAction)
-        if lowered in ("0", "false", "no", "off"):
-            return isinstance(action, argparse._StoreFalseAction)
-        raise InputError(f"config key {key!r} expects a boolean, got {raw!r}")
-    caster = action.type if action.type is not None else str
-    try:
-        value = caster(raw)
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise InputError(f"config key {key!r}: {exc}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise InputError(f"config key {key!r}: invalid choice {raw!r} "
-                         f"(choose from {', '.join(map(str, action.choices))})")
-    return value
-
-
-def _apply_config(args, argv, parsers, config):
-    """Overlay config values onto args for flags absent from the command line."""
-    actions = {}
-    for parser in parsers:
-        for action in parser._actions:
-            if action.option_strings and action.dest != "help":
-                actions.setdefault(action.dest, action)
-    given = set()
-    for token in argv:
-        if token.startswith("--"):
-            given.add(token.split("=", 1)[0].lstrip("-").replace("-", "_"))
-    for key, raw in config.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise InputError(f"unknown config key {key!r}")
-        if dest in given:
-            continue
-        setattr(args, dest, _coerce_like(actions[dest], raw, key))
+def _config_flags(parser, config):
+    """The config as --key=value flags for parser. A value-less flag (a bool
+    default, as --quiet's) is given for a true value and left out for a false one."""
+    flags = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(parser.get_default(key.replace("-", "_")), bool):
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            flags.append(flag)
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise InputError(f"config key {key!r} expects a boolean, got {value!r}")
+    return flags
 
 
 # -- shared assembly ---------------------------------------------------------
@@ -139,12 +108,10 @@ def _load_model(args):
     return detector.DetectionModel(pca=pca, net=net)
 
 
-def _read_window_set(args, need_labels):
-    """Windows, and with need_labels their A and L, paired by row id: the window
-    ids must run 0..n-1 in order, as read_labels requires of the labels' row_id."""
+def _read_window_set(args):
+    """Windows with their A and L, paired by row id: the window ids must run
+    0..n-1 in order, as read_labels requires of the labels' row_id."""
     ids, windows = _read(io.read_panel, args.windows)
-    if not need_labels:
-        return windows, None, None
     for row_id, sid in enumerate(ids):
         if sid != str(row_id):
             raise ValueError(f"{args.windows}: window row id {sid!r} where {row_id} belongs")
@@ -174,7 +141,7 @@ def cmd_simulate(args):
     }
     for name, writer in targets.items():
         path = _out_path(args, name)
-        _write(writer, path)
+        writer(path)
         _say(args, f"wrote {path}")
     return 0
 
@@ -197,50 +164,48 @@ def cmd_augment(args):
     for name, panel in panels.items():
         windows_path = _out_path(args, f"windows_{name}.csv")
         labels_path = _out_path(args, f"labels_{name}.csv")
-        _write(io.write_panel, windows_path, panel.windows)
-        _write(io.write_labels, labels_path, panel.ident_labels, panel.loc_labels)
+        io.write_panel(windows_path, panel.windows)
+        io.write_labels(labels_path, panel.ident_labels, panel.loc_labels)
         _say(args, f"wrote {windows_path} ({panel.n_rows} rows) and {labels_path}")
     return 0
 
 
 def cmd_fit(args):
-    windows, A, _ = _read_window_set(args, need_labels=True)
+    windows, A, _ = _read_window_set(args)
     train_cfg = scorer.TrainConfig(
         hidden_dims=args.hidden, learning_rate=args.lr, max_iters=args.iters,
-        seed=workflows.derive_seed(args.seed, "train_net"),
+        temperature=args.tau, seed=workflows.derive_seed(args.seed, "train_net"),
     )
-    if args.tau is not None:
-        train_cfg = replace(train_cfg, temperature=args.tau)
     model, result = workflows.fit_model(windows, A, args.k, train_cfg)
     pca_path = _out_path(args, "pca.txt")
     net_path = _out_path(args, "net.txt")
     log_path = _out_path(args, "training_log.csv")
-    _write(io.write_pca_model, pca_path, model.pca)
-    _write(io.write_network, net_path, result.network)
-    _write(io.write_training_log, log_path, result.history)
+    io.write_pca_model(pca_path, model.pca)
+    io.write_network(net_path, result.network)
+    io.write_training_log(log_path, result.history)
     _say(args, f"wrote {pca_path}, {net_path}, {log_path} "
                f"(best loss {result.best_loss:.6g} at iteration {result.best_iteration})")
     return 0
 
 
 def cmd_detect(args):
-    windows, _, _ = _read_window_set(args, need_labels=False)
+    _, windows = _read(io.read_panel, args.windows)
     model = _load_model(args)
     reports = detector.detect_batch(model, windows, method=args.method,
                                     max_iter=args.max_iter)
     report_path = _out_path(args, "detect_report.csv")
-    _write(io.write_detect_report, report_path, reports)
+    io.write_detect_report(report_path, reports)
     _say(args, f"wrote {report_path} "
                f"({sum(r.pred_label for r in reports)} of {len(reports)} rows flagged)")
     if args.cleaned:
         cleaned_path = _out_path(args, args.cleaned)
-        _write(io.write_panel, cleaned_path, np.vstack([r.imputed_series for r in reports]))
+        io.write_panel(cleaned_path, np.vstack([r.imputed_series for r in reports]))
         _say(args, f"wrote {cleaned_path}")
     return 0
 
 
 def cmd_evaluate(args):
-    windows, A, L = _read_window_set(args, need_labels=True)
+    windows, A, L = _read_window_set(args)
     model = _load_model(args)
     scored = detector.score_rows(model, windows)
     metrics = workflows.split_metrics(scored, windows, A, L)
@@ -254,23 +219,23 @@ def cmd_evaluate(args):
         report["dummy_localization_accuracy"] = metrics["dummy_loc_accuracy"]
     if args.prc:
         curve = evaluation.precision_recall_curve(scored.scores, A)
-        _write(io.write_rows, _out_path(args, args.prc),
-               ["threshold", "recall", "precision"],
-               zip(curve.thresholds, curve.recall, curve.precision))
+        io.write_rows(_out_path(args, args.prc),
+                      ["threshold", "recall", "precision"],
+                      zip(curve.thresholds, curve.recall, curve.precision))
         report["prc_auc"] = curve.auc
     if args.robustness:
         table = evaluation.cutoff_robustness(scored.scores, model.net.cutoff, A)
-        _write(io.write_rows, _out_path(args, args.robustness),
-               ["gamma", "accuracy", "precision", "recall", "f1"],
-               [(g, m.accuracy, m.precision, m.recall, m.f1) for g, m in table])
+        io.write_rows(_out_path(args, args.robustness),
+                      ["gamma", "accuracy", "precision", "recall", "f1"],
+                      [(g, m.accuracy, m.precision, m.recall, m.f1) for g, m in table])
     if args.adf:
         p_values, reject_rate = workflows.adf_study(scored.epsilon)
-        _write(io.write_rows, _out_path(args, args.adf),
-               ["statistic", "mean_p", "max_p", "reject_rate"],
-               [("summary", float(p_values.mean()), float(p_values.max()), reject_rate)])
+        io.write_rows(_out_path(args, args.adf),
+                      ["statistic", "mean_p", "max_p", "reject_rate"],
+                      [("summary", float(p_values.mean()), float(p_values.max()), reject_rate)])
         report["adf_reject_rate"] = reject_rate
     metrics_path = _out_path(args, "metrics.json")
-    _write(io.write_json, metrics_path, report)
+    io.write_json(metrics_path, report)
     _say(args, f"wrote {metrics_path} "
                f"(identification F1 {report['identification'].f1:.4f})")
     return 0
@@ -306,7 +271,7 @@ def cmd_var(args):
                    for tag, (absolute, relative) in errors.items()},
     }
     report_path = _out_path(args, "var_report.json")
-    _write(io.write_json, report_path, payload)
+    io.write_json(report_path, payload)
     _say(args, f"wrote {report_path} (VaR theo {estimates['theo']:.6g}, "
                f"loc_pred {estimates['loc_pred']:.6g})")
     return 0
@@ -337,12 +302,12 @@ def cmd_bench(args):
         "wall_seconds": time.perf_counter() - started,
     }
     summary_path = _out_path(args, "bench_summary.json")
-    _write(io.write_json, summary_path, summary)
+    io.write_json(summary_path, summary)
     _say(args, f"wrote {summary_path}")
     runs_path = _out_path(args, "bench_runs.csv")
-    _write(io.write_rows, runs_path, ["seed"] + keys,
-           [[seed] + [flat[i].get(k, float("nan")) for k in keys]
-            for i, seed in enumerate(seeds)])
+    io.write_rows(runs_path, ["seed"] + keys,
+                  [[seed] + [flat[i].get(k, float("nan")) for k in keys]
+                   for i, seed in enumerate(seeds)])
     _say(args, f"wrote {runs_path}")
     if args.buckets:
         ratios = [[] for _ in range(4)]  # per bucket, the runs where it holds rows
@@ -355,12 +320,12 @@ def cmd_bench(args):
                     held.append(b.ratio)
             edges.append([(b.low, b.high) for b in buckets])
         buckets_path = _out_path(args, args.buckets)
-        _write(io.write_rows, buckets_path,
-               ["bucket", "mean_low", "mean_high", "mean_ratio"],
-               [(i + 1,
-                 float(np.mean([e[i][0] for e in edges])),
-                 float(np.mean([e[i][1] for e in edges])),
-                 sum(ratios[i]) / len(ratios[i]) if ratios[i] else "") for i in range(4)])
+        io.write_rows(buckets_path,
+                      ["bucket", "mean_low", "mean_high", "mean_ratio"],
+                      [(i + 1,
+                        float(np.mean([e[i][0] for e in edges])),
+                        float(np.mean([e[i][1] for e in edges])),
+                        sum(ratios[i]) / len(ratios[i]) if ratios[i] else "") for i in range(4)])
         _say(args, f"wrote {buckets_path}")
     return 0
 
@@ -440,9 +405,8 @@ def build_parser():
                    help="Adam learning rate")
     p.add_argument("--iters", type=int, default=scorer.TrainConfig.max_iters,
                    help="training iterations")
-    p.add_argument("--tau", type=float, default=None,
-                   help="label-smoothing temperature "
-                        f"(default {scorer.TrainConfig.temperature})")
+    p.add_argument("--tau", type=float, default=scorer.TrainConfig.temperature,
+                   help="label-smoothing temperature")
 
     p = sub("detect", "run iterative detection over window rows", cmd_detect)
     p.add_argument("--windows", required=True, help="windows CSV")
@@ -491,17 +455,18 @@ def main(argv=None) -> int:
     parser, parsers = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "command", None) is None:
+            parser.print_help()
+            return 2
+        if args.config:
+            # config flags go right after the command, so the user's own come later and win
+            at = argv.index(args.command) + 1
+            flags = _config_flags(parsers[args.command], _read(_load_config, args.config))
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        return args.func(args)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
-    if getattr(args, "command", None) is None:
-        parser.print_help()
-        return 2
-    try:
-        if args.config:
-            config = _load_config(args.config)
-            _apply_config(args, argv, [parsers[args.command]], config)
-        return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"panelscan: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

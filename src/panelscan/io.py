@@ -260,8 +260,10 @@ def read_labels(path):
             raise ValueError(f"{path}: A must be 0 or 1, got {a}")
         if a == 1 and loc < 1:
             raise ValueError(f"{path}: contaminated rows need a 1-based location")
+        if a == 0 and row[2] != "":
+            raise ValueError(f"{path}: clean row {row_id} has a location {row[2]!r}")
         A.append(a)
-        L.append(loc if a else 0)
+        L.append(loc)
     return np.asarray(A, dtype=np.int64), np.asarray(L, dtype=np.int64)
 
 

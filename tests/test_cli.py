@@ -341,6 +341,11 @@ def _shift_first_omega_value(lines):
     return lines[:6] + [" ".join([repr(float(values[0]) + 0.01), *values[1:]])] + lines[7:]
 
 
+def _give_a_clean_row_a_location(lines):
+    i = next(i for i, line in enumerate(lines) if line.endswith(",0,"))
+    return lines[:i] + [lines[i] + "2"] + lines[i + 1:]
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("pca.txt", lambda lines: lines[:7] + lines[6:], "after the 12 omega rows"),
     ("pca.txt", _shift_first_omega_value, "omega rows are not orthonormal"),
@@ -350,6 +355,7 @@ def _shift_first_omega_value(lines):
      "row_id '0x10' where 1 belongs"),
     ("labels_test.csv", lambda lines: lines[:2] + ["1,1,1_0"] + lines[3:],
      "malformed label L '1_0'"),
+    ("labels_test.csv", _give_a_clean_row_a_location, "has a location '2'"),
 ])
 def test_damaged_model_and_label_files_exit_2(workdir, tmp_path, capsys, name, damage, message):
     files = {"pca.txt": workdir / "pca.txt", "net.txt": workdir / "net.txt",
@@ -647,6 +653,25 @@ def evaluate_baseline(workdir, tmp_path_factory):
     return (out / "metrics.json").read_bytes()
 
 
+def _label_rows(lines, n_rows, window_length):
+    """[(A, L)] per row of a labels file that evaluate takes for n_rows windows
+    of window_length, or None: a reference reader of what write_labels writes."""
+    if lines[:1] != ["row_id,A,L"] or len(lines) != n_rows + 1:
+        return None
+    rows = []
+    for row_id, line in enumerate(lines[1:]):
+        fields = line.split(",")
+        if len(fields) != 3 or fields[0] != str(row_id) or fields[1] not in ("0", "1"):
+            return None
+        a, loc = fields[1:]
+        if a == "0" and loc != "":
+            return None
+        if a == "1" and not (loc.isascii() and loc.isdigit() and 1 <= int(loc) <= window_length):
+            return None
+        rows.append((a, loc))
+    return rows
+
+
 def _swaps_two_rows_of_one_width(intact, lines):
     """Whether lines swaps two untagged model rows with as many values: omega
     or W rows, which carry no index, so the result is still a model."""
@@ -664,6 +689,7 @@ def _swaps_two_rows_of_one_width(intact, lines):
 @example(damage=("swap lines", 1, 0, 0, 0))  # rows 0 and 1; rows 0 and 1; k and p; dims and tau
 @example(damage=("bad token", 3, 0, 1, 0))  # 1_0 as a price; as A; as a mean; as s
 @example(damage=("bad token", 1, 0, 0, -1))  # an empty id; an empty row_id; no k tag; no dims tag
+@example(damage=("bad token", 1, 0, -1, 4))  # a price bogus; row 0's L 2; k nan; dims 64 16 nan
 def test_a_damaged_evaluate_input_exits_2_or_3_or_changes_nothing(
         workdir, evaluate_baseline, tmp_path_factory, capsys, name, damage):
     separator, bad_tokens, flag = _EVALUATE_INPUTS[name]
@@ -676,18 +702,22 @@ def test_a_damaged_evaluate_input_exits_2_or_3_or_changes_nothing(
     code = _run_evaluate_with(workdir, root / "out", flag, root / name)
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    same_labels = True
     if lines == intact:
         expected = {0}
     elif model_file:  # a token count, a tag or a number changed
         expected = {2}
     elif name == "windows_test.csv":  # a changed panel that still parses has other ids
         expected = {3 if parses else 2}
-    else:  # labels: refused (2) or short (3), or an L cell that a clean row ignores
-        expected = {0, 2, 3}
+    else:  # labels: taken when well formed, else refused (2) or not the windows' (3)
+        window_length = int(AUG_FLAGS[AUG_FLAGS.index("--window-length") + 1])
+        labels = _label_rows(lines, len(intact) - 1, window_length)
+        expected = {2, 3} if labels is None else {0}
+        same_labels = labels == _label_rows(intact, len(intact) - 1, window_length)
     assert code in expected, err
-    if code == 0:
+    if code == 0 and same_labels:
         assert (root / "out" / "metrics.json").read_bytes() == evaluate_baseline
-    else:
+    elif code:
         assert not list((root / "out").iterdir())
 
 
@@ -755,9 +785,27 @@ def test_config_bad_value_exits_2(tmp_path):
     config.write_text("stocks=six\n")
     assert _run("simulate", "--config", config, "--out-dir", tmp_path,
                 "--quiet", *SIM_FLAGS[2:]) == 2
+    # checked as the flag is, although the explicit --stocks 6 would win
+    assert _run("simulate", "--config", config, "--out-dir", tmp_path,
+                "--quiet", *SIM_FLAGS) == 2
     config.write_text("just a line\n")
     assert _run("simulate", "--config", config, "--out-dir", tmp_path,
                 "--quiet", *SIM_FLAGS) == 2
+    config.write_bytes(b"stocks = \xff\n")
+    assert _run("simulate", "--config", config, "--out-dir", tmp_path,
+                "--quiet", *SIM_FLAGS) == 2
+    assert _run("simulate", "--config", tmp_path / "nope.cfg", "--out-dir", tmp_path,
+                "--quiet", *SIM_FLAGS) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_an_output_that_cannot_be_written_exits_2(workdir, tmp_path, capsys):
+    (tmp_path / "cleaned.csv").mkdir()
+    assert _run("detect", "--out-dir", tmp_path, "--quiet", "--windows",
+                workdir / "windows_test.csv", *_model_flags(workdir),
+                "--cleaned", "cleaned.csv") == 2
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and "Traceback" not in err
 
 
 def test_config_value_outside_the_choices_exits_2(workdir, tmp_path, capsys):
@@ -767,11 +815,54 @@ def test_config_value_outside_the_choices_exits_2(workdir, tmp_path, capsys):
     out.mkdir()
     assert _run("detect", "--config", config, "--out-dir", out, "--quiet",
                 "--windows", workdir / "windows_test.csv", *_model_flags(workdir)) == 2
-    assert "invalid choice 'bogus'" in capsys.readouterr().err
+    assert "argument --method: invalid choice: 'bogus'" in capsys.readouterr().err
     assert not list(out.iterdir())
     config.write_text("method=LI\n")
     assert _run("detect", "--config", config, "--out-dir", out, "--quiet",
                 "--windows", workdir / "windows_test.csv", *_model_flags(workdir)) == 0
+
+
+# per command: its required flags, then config lines that set a value-less flag,
+# a float, an int, --hidden, a choices flag and a string flag where it has one
+_CONFIG_AS_FLAGS = {
+    "simulate": ([], {"quiet": "true", "rho": "0.25", "stocks": "9", "out-dir": "runs"}),
+    "augment": (["--panel", "p.csv", "--value-labels", "v.csv"],
+                {"quiet": "yes", "r_c": "0.1", "window_length": "32", "out_dir": "runs"}),
+    "fit": (["--windows", "w.csv", "--labels", "l.csv"],
+            {"quiet": "on", "lr": "0.01", "iters": "7", "hidden": "8,4", "out-dir": "runs"}),
+    "detect": (["--windows", "w.csv", "--pca", "pca.txt", "--net", "net.txt"],
+               {"quiet": "1", "max-iter": "3", "method": "LI", "cleaned": "c.csv"}),
+    "evaluate": (["--windows", "w.csv", "--labels", "l.csv", "--pca", "pca.txt",
+                  "--net", "net.txt"], {"quiet": "True", "seed": "5", "prc": "prc.csv"}),
+    "var": (["--clean", "c.csv", "--panel", "p.csv", "--value-labels", "v.csv",
+             "--params", "params.csv", "--pca", "pca.txt", "--net", "net.txt"],
+            {"quiet": "true", "alpha": "0.9", "h": "5", "method": "PCA_RECON",
+             "weights": "w.csv"}),
+    "bench": ([], {"quiet": "true", "correlation": "0.25", "runs": "3", "buckets": "b.csv"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_CONFIG_AS_FLAGS))
+def test_a_config_file_parses_as_the_same_flags_on_the_command_line(
+        tmp_path, monkeypatch, command):
+    seen = []
+    for name in _CONFIG_AS_FLAGS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(vars(args)) or 0)
+    required, settings = _CONFIG_AS_FLAGS[command]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    flags = ["--" + key.replace("_", "-") + ("" if key == "quiet" else f"={value}")
+             for key, value in settings.items()]
+    assert cli.main([command, *required, "--config", str(config)]) == 0
+    assert cli.main([command, *required, *flags]) == 0
+    assert cli.main([command, *required]) == 0
+    from_config, from_flags, defaults = seen
+    assert from_config.pop("config") == str(config)
+    assert from_flags.pop("config") is None
+    assert from_config == from_flags
+    for key in settings:
+        dest = key.replace("-", "_")
+        assert from_flags[dest] != defaults[dest], dest
 
 
 @pytest.mark.parametrize("command, dest, function, keyword", [

@@ -560,6 +560,9 @@ def test_read_labels_validation(tmp_path):
     path.write_text("row_id,A,L\n0,one,2\n")
     with pytest.raises(ValueError, match="malformed label"):
         io.read_labels(path)
+    path.write_text("row_id,A,L\n0,1,3\n1,0,2\n")  # write_labels leaves a clean row's L empty
+    with pytest.raises(ValueError, match="clean row 1 has a location '2'"):
+        io.read_labels(path)
 
 
 @pytest.mark.parametrize("row, what", [
