@@ -5,7 +5,10 @@ Every command is a pure function of (input files, flags, seed); re-running
 with the same inputs reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 I/O or parse problem, 3 validation or dimension
-problem, 4 numerical failure. Options may also come from a flat key=value
+problem, 4 numerical failure. No command that exits non-zero leaves a file it
+wrote: a command computes all its outputs before main writes them, and a failed
+write removes what was written. Unless --quiet, success prints one line:
+"wrote PATH, PATH, ... (FIGURES)". Options may also come from a flat key=value
 config file (--config): each line is parsed as the flag --key=value, placed
 before the command line's own flags, so a config value is checked exactly as
 that flag is, with the same messages, and an explicit flag wins.
@@ -14,6 +17,7 @@ that flag is, with the same messages, and an explicit flag wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -34,18 +38,6 @@ def _read(reader, path):
         return reader(path)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _say(args, message):
-    if not args.quiet:
-        print(message)
-
-
-def _out_path(args, name):
-    out_dir = args.out_dir
-    if not os.path.isdir(out_dir):
-        raise InputError(f"output directory {out_dir!r} does not exist")
-    return os.path.join(out_dir, name)
 
 
 def _hidden_dims(text):
@@ -127,23 +119,17 @@ def _read_window_set(args):
 # -- commands ----------------------------------------------------------------
 
 def cmd_simulate(args):
-    cfg = _pipeline_config(args)
-    panels = workflows.build_panels(cfg)
+    panels = workflows.build_panels(_pipeline_config(args))
     clean = np.hstack([panels.clean_train.prices, panels.clean_test.prices])
     contaminated = np.hstack([panels.contaminated_train.prices,
                               panels.contaminated_test.prices])
     value_labels = np.hstack([panels.train_value_labels, panels.test_value_labels])
-    targets = {
+    return {
         "clean_panel.csv": lambda p: io.write_panel(p, clean),
         "contaminated_panel.csv": lambda p: io.write_panel(p, contaminated),
         "value_labels.csv": lambda p: io.write_value_labels(p, value_labels),
         "params.csv": lambda p: io.write_params(p, panels.clean_train),
-    }
-    for name, writer in targets.items():
-        path = _out_path(args, name)
-        writer(path)
-        _say(args, f"wrote {path}")
-    return 0
+    }, ""
 
 
 def cmd_augment(args):
@@ -161,13 +147,12 @@ def cmd_augment(args):
     panels = {name: workflows.labeled_windows(part_prices, part_labels, name,
                                               args.window_length, args.r_c, args.seed)
               for name, part_prices, part_labels in parts}
+    outputs = {}
     for name, panel in panels.items():
-        windows_path = _out_path(args, f"windows_{name}.csv")
-        labels_path = _out_path(args, f"labels_{name}.csv")
-        io.write_panel(windows_path, panel.windows)
-        io.write_labels(labels_path, panel.ident_labels, panel.loc_labels)
-        _say(args, f"wrote {windows_path} ({panel.n_rows} rows) and {labels_path}")
-    return 0
+        outputs[f"windows_{name}.csv"] = lambda p, panel=panel: io.write_panel(p, panel.windows)
+        outputs[f"labels_{name}.csv"] = lambda p, panel=panel: io.write_labels(
+            p, panel.ident_labels, panel.loc_labels)
+    return outputs, ", ".join(f"{panel.n_rows} {name} rows" for name, panel in panels.items())
 
 
 def cmd_fit(args):
@@ -177,15 +162,11 @@ def cmd_fit(args):
         temperature=args.tau, seed=workflows.derive_seed(args.seed, "train_net"),
     )
     model, result = workflows.fit_model(windows, A, args.k, train_cfg)
-    pca_path = _out_path(args, "pca.txt")
-    net_path = _out_path(args, "net.txt")
-    log_path = _out_path(args, "training_log.csv")
-    io.write_pca_model(pca_path, model.pca)
-    io.write_network(net_path, result.network)
-    io.write_training_log(log_path, result.history)
-    _say(args, f"wrote {pca_path}, {net_path}, {log_path} "
-               f"(best loss {result.best_loss:.6g} at iteration {result.best_iteration})")
-    return 0
+    return {
+        "pca.txt": lambda p: io.write_pca_model(p, model.pca),
+        "net.txt": lambda p: io.write_network(p, result.network),
+        "training_log.csv": lambda p: io.write_training_log(p, result.history),
+    }, f"best loss {result.best_loss:.6g} at iteration {result.best_iteration}"
 
 
 def cmd_detect(args):
@@ -193,15 +174,11 @@ def cmd_detect(args):
     model = _load_model(args)
     reports = detector.detect_batch(model, windows, method=args.method,
                                     max_iter=args.max_iter)
-    report_path = _out_path(args, "detect_report.csv")
-    io.write_detect_report(report_path, reports)
-    _say(args, f"wrote {report_path} "
-               f"({sum(r.pred_label for r in reports)} of {len(reports)} rows flagged)")
+    outputs = {"detect_report.csv": lambda p: io.write_detect_report(p, reports)}
     if args.cleaned:
-        cleaned_path = _out_path(args, args.cleaned)
-        io.write_panel(cleaned_path, np.vstack([r.imputed_series for r in reports]))
-        _say(args, f"wrote {cleaned_path}")
-    return 0
+        outputs[args.cleaned] = lambda p: io.write_panel(
+            p, np.vstack([r.imputed_series for r in reports]))
+    return outputs, f"{sum(r.pred_label for r in reports)} of {len(reports)} rows flagged"
 
 
 def cmd_evaluate(args):
@@ -217,28 +194,26 @@ def cmd_evaluate(args):
     if "loc" in metrics:
         report["localization"] = metrics["loc"]
         report["dummy_localization_accuracy"] = metrics["dummy_loc_accuracy"]
+    outputs = {}
     if args.prc:
         curve = evaluation.precision_recall_curve(scored.scores, A)
-        io.write_rows(_out_path(args, args.prc),
-                      ["threshold", "recall", "precision"],
-                      zip(curve.thresholds, curve.recall, curve.precision))
+        outputs[args.prc] = lambda p: io.write_rows(
+            p, ["threshold", "recall", "precision"],
+            zip(curve.thresholds, curve.recall, curve.precision))
         report["prc_auc"] = curve.auc
     if args.robustness:
         table = evaluation.cutoff_robustness(scored.scores, model.net.cutoff, A)
-        io.write_rows(_out_path(args, args.robustness),
-                      ["gamma", "accuracy", "precision", "recall", "f1"],
-                      [(g, m.accuracy, m.precision, m.recall, m.f1) for g, m in table])
+        outputs[args.robustness] = lambda p: io.write_rows(
+            p, ["gamma", "accuracy", "precision", "recall", "f1"],
+            [(g, m.accuracy, m.precision, m.recall, m.f1) for g, m in table])
     if args.adf:
         p_values, reject_rate = workflows.adf_study(scored.epsilon)
-        io.write_rows(_out_path(args, args.adf),
-                      ["statistic", "mean_p", "max_p", "reject_rate"],
-                      [("summary", float(p_values.mean()), float(p_values.max()), reject_rate)])
+        outputs[args.adf] = lambda p: io.write_rows(
+            p, ["statistic", "mean_p", "max_p", "reject_rate"],
+            [("summary", float(p_values.mean()), float(p_values.max()), reject_rate)])
         report["adf_reject_rate"] = reject_rate
-    metrics_path = _out_path(args, "metrics.json")
-    io.write_json(metrics_path, report)
-    _say(args, f"wrote {metrics_path} "
-               f"(identification F1 {report['identification'].f1:.4f})")
-    return 0
+    outputs["metrics.json"] = lambda p: io.write_json(p, report)
+    return outputs, f"identification F1 {report['identification'].f1:.4f}"
 
 
 def cmd_var(args):
@@ -270,11 +245,8 @@ def cmd_var(args):
         "errors": {tag: {"absolute": absolute, "relative": relative}
                    for tag, (absolute, relative) in errors.items()},
     }
-    report_path = _out_path(args, "var_report.json")
-    io.write_json(report_path, payload)
-    _say(args, f"wrote {report_path} (VaR theo {estimates['theo']:.6g}, "
-               f"loc_pred {estimates['loc_pred']:.6g})")
-    return 0
+    return {"var_report.json": lambda p: io.write_json(p, payload)}, \
+        f"VaR theo {estimates['theo']:.6g}, loc_pred {estimates['loc_pred']:.6g}"
 
 
 def cmd_bench(args):
@@ -288,9 +260,9 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         result = workflows.reference_run(replace(base, seed=seed))
         runs.append(result)
-        _say(args, f"seed {seed}: test F1 "
-                   f"{result.summary['ident_test'].f1:.4f} "
-                   f"({time.perf_counter() - t0:.1f}s)")
+        if not args.quiet:
+            print(f"seed {seed}: test F1 {result.summary['ident_test'].f1:.4f} "
+                  f"({time.perf_counter() - t0:.1f}s)")
     flat = [evaluation.flatten_metrics(r.summary) for r in runs]
     mean, std = evaluation.aggregate(flat)
     keys = list(mean)
@@ -301,14 +273,13 @@ def cmd_bench(args):
         "std": std,
         "wall_seconds": time.perf_counter() - started,
     }
-    summary_path = _out_path(args, "bench_summary.json")
-    io.write_json(summary_path, summary)
-    _say(args, f"wrote {summary_path}")
-    runs_path = _out_path(args, "bench_runs.csv")
-    io.write_rows(runs_path, ["seed"] + keys,
-                  [[seed] + [flat[i].get(k, float("nan")) for k in keys]
-                   for i, seed in enumerate(seeds)])
-    _say(args, f"wrote {runs_path}")
+    outputs = {
+        "bench_summary.json": lambda p: io.write_json(p, summary),
+        "bench_runs.csv": lambda p: io.write_rows(
+            p, ["seed"] + keys,
+            [[seed] + [flat[i].get(k, float("nan")) for k in keys]
+             for i, seed in enumerate(seeds)]),
+    }
     if args.buckets:
         ratios = [[] for _ in range(4)]  # per bucket, the runs where it holds rows
         edges = []
@@ -319,15 +290,42 @@ def cmd_bench(args):
                 if b.ratio is not None:
                     held.append(b.ratio)
             edges.append([(b.low, b.high) for b in buckets])
-        buckets_path = _out_path(args, args.buckets)
-        io.write_rows(buckets_path,
-                      ["bucket", "mean_low", "mean_high", "mean_ratio"],
-                      [(i + 1,
-                        float(np.mean([e[i][0] for e in edges])),
-                        float(np.mean([e[i][1] for e in edges])),
-                        sum(ratios[i]) / len(ratios[i]) if ratios[i] else "") for i in range(4)])
-        _say(args, f"wrote {buckets_path}")
-    return 0
+        outputs[args.buckets] = lambda p: io.write_rows(
+            p, ["bucket", "mean_low", "mean_high", "mean_ratio"],
+            [(i + 1, float(np.mean([e[i][0] for e in edges])),
+              float(np.mean([e[i][1] for e in edges])),
+              sum(ratios[i]) / len(ratios[i]) if ratios[i] else "") for i in range(4)])
+    return outputs, ""
+
+
+# -- output ----------------------------------------------------------------
+
+def _stamp(path):
+    st = os.stat(path) if os.path.exists(path) else None
+    return st and (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _write_outputs(args, outputs, figures):
+    """Run each writer on its file in --out-dir, in order, then print the status line.
+    A failed write removes the files written, the failing one unless untouched."""
+    if outputs and not os.path.isdir(args.out_dir):
+        raise InputError(f"output directory {args.out_dir!r} does not exist")
+    written = []
+    for name, write in outputs.items():
+        path = os.path.join(args.out_dir, name)
+        before = _stamp(path)
+        try:
+            write(path)
+        except BaseException:
+            if _stamp(path) != before:  # the writer got as far as opening it
+                written.append(path)
+            for done in written:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise
+        written.append(path)
+    if written and not args.quiet:
+        print("wrote " + ", ".join(written) + (f" ({figures})" if figures else ""))
 
 
 # -- parser ------------------------------------------------------------------
@@ -463,19 +461,20 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             flags = _config_flags(parsers[args.command], _read(_load_config, args.config))
             args = parser.parse_args(argv[:at] + flags + argv[at:])
-        return args.func(args)
+        _write_outputs(args, *args.func(args))
+        return 0
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
     except (InputError, OSError) as exc:
         print(f"panelscan: error: {exc}", file=sys.stderr)
         return 2
+    except (FloatingPointError, ZeroDivisionError, OverflowError,
+            np.linalg.LinAlgError) as exc:  # first: numpy 2.4 derives LinAlgError from ValueError
+        print(f"panelscan: numerical failure: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"panelscan: invalid input: {exc}", file=sys.stderr)
         return 3
-    except (FloatingPointError, ZeroDivisionError, OverflowError,
-            np.linalg.LinAlgError) as exc:
-        print(f"panelscan: numerical failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ class PipelineConfig:
     test_anoms: int = 2
     rho: float = 0.04
     r_c: float = 0.16
-    correlation: object = 0.5
+    correlation: float = 0.5
     latent_dim: int = pcafeat.DEFAULT_LATENT_DIM
     train: scorer.TrainConfig = None  # None: defaults with a seed derived below
     seed: int = 0

@@ -186,6 +186,20 @@ def test_fit_refuses_a_rate_or_temperature_that_is_not_positive(workdir, tmp_pat
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("error", [FloatingPointError, ZeroDivisionError, OverflowError,
+                                   np.linalg.LinAlgError])
+def test_a_numerical_failure_exits_4(workdir, tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(workflows, "fit_model", fail)
+    assert _run("fit", "--out-dir", tmp_path, "--windows", workdir / "windows_train.csv",
+                "--labels", workdir / "labels_train.csv", *FIT_FLAGS) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fit_missing_input_exits_2(tmp_path):
     assert _run("fit", "--out-dir", tmp_path, "--quiet",
                 "--windows", tmp_path / "missing.csv",
@@ -273,6 +287,18 @@ def test_evaluate_emits_metrics_and_tables(workdir, tmp_path):
     adf = (tmp_path / "adf.csv").read_text().splitlines()
     assert adf[0] == "statistic,mean_p,max_p,reject_rate"
     assert len(adf) == 2
+
+
+def test_evaluate_that_fails_after_its_prc_writes_nothing(workdir, tmp_path, monkeypatch):
+    def fail(epsilon):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(workflows, "adf_study", fail)
+    assert _run("evaluate", "--out-dir", tmp_path, "--quiet",
+                "--windows", workdir / "windows_test.csv",
+                "--labels", workdir / "labels_test.csv",
+                "--prc", "prc.csv", "--adf", "adf.csv", *_model_flags(workdir)) == 3
+    assert not list(tmp_path.iterdir())
 
 
 def test_evaluate_matches_the_test_half_of_evaluate_run(tmp_path):
@@ -806,6 +832,22 @@ def test_an_output_that_cannot_be_written_exits_2(workdir, tmp_path, capsys):
                 "--cleaned", "cleaned.csv") == 2
     err = capsys.readouterr().err
     assert "Is a directory" in err and "Traceback" not in err
+    # the report written before the failed write is removed again
+    assert [p.name for p in tmp_path.iterdir()] == ["cleaned.csv"]
+
+
+def test_a_failed_write_keeps_a_file_it_left_untouched(workdir, tmp_path, monkeypatch):
+    (tmp_path / "cleaned.csv").write_text("kept\n")
+
+    def refuse(path, prices):  # as open() refusing a read-only file
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(io, "write_panel", refuse)
+    assert _run("detect", "--out-dir", tmp_path, "--quiet", "--windows",
+                workdir / "windows_test.csv", *_model_flags(workdir),
+                "--cleaned", "cleaned.csv") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cleaned.csv"]
+    assert (tmp_path / "cleaned.csv").read_text() == "kept\n"
 
 
 def test_config_value_outside_the_choices_exits_2(workdir, tmp_path, capsys):
@@ -847,7 +889,8 @@ def test_a_config_file_parses_as_the_same_flags_on_the_command_line(
         tmp_path, monkeypatch, command):
     seen = []
     for name in _CONFIG_AS_FLAGS:
-        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda args: seen.append(vars(args)) or ({}, ""))
     required, settings = _CONFIG_AS_FLAGS[command]
     config = tmp_path / "run.cfg"
     config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))

@@ -99,12 +99,19 @@ def test_correlation_matrix_validation():
         simgen.correlation_matrix(1.0, 3)
     with pytest.raises(ValueError):
         simgen.correlation_matrix(-0.1, 3)
-    bad = np.array([[1.0, 0.2], [0.3, 1.0]])
-    with pytest.raises(ValueError):
-        simgen.correlation_matrix(bad, 2)
     full = simgen.correlation_matrix(0.5, 3)
     np.testing.assert_array_equal(np.diag(full), 1.0)
     assert full[0, 1] == 0.5
+
+
+def test_a_correlation_too_close_to_one_for_cholesky_still_simulates():
+    # at the largest double below 1, np.linalg.cholesky refuses the 20 x 20 constant
+    # matrix as not positive definite, so the paths come from the symmetric square root
+    c, n = 1.0 - 2.0**-53, 20
+    panel = simgen.simulate_paths(s0=np.full(n, 100.0), mu=np.full(n, 0.1),
+                                  sigma=np.full(n, 0.05), correlation=c, dt=1e-3,
+                                  n_steps=50, seed=0)
+    assert np.all(np.isfinite(panel.prices)) and np.all(panel.prices > 0)
 
 
 def test_contaminate_marks_exactly_the_shocked_stamps():
