@@ -7,6 +7,9 @@ weights, localizes the anomalous value inside flagged windows, imputes it, and
 measures the downstream effect on parametric portfolio VaR.
 """
 
+# No module imports scipy at load time. Importing scipy.special takes about
+# 0.25 s, more than the rest of the package, and simulating, windowing and
+# scoring never call it; the functions that do import it where they run.
 from . import density, detector, evaluation, io, pcafeat, riskmetrics, scorer, simgen, workflows
 
 __version__ = "0.1.0"

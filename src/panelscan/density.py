@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 BANDWIDTH_FLOOR = 1e-6
 CUTOFF_GRID_POINTS = 1024  # points in intersection_cutoff's search grid
@@ -104,12 +103,16 @@ def _on_grid(x, row_values):
 
 def auc_above(model: KdeModel, s):
     """Mass of the estimated density above s, via the kernel tail function."""
+    from scipy.special import ndtr
+
     return _on_grid(s, lambda points: ndtr((model.samples[None, :] - points)
                                            / model.bandwidth).mean(axis=1))
 
 
 def auc_below(model: KdeModel, s):
     """Mass of the estimated density below s."""
+    from scipy.special import ndtr
+
     return _on_grid(s, lambda points: ndtr((points - model.samples[None, :])
                                            / model.bandwidth).mean(axis=1))
 

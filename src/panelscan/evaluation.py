@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 ROBUSTNESS_SHOCKS = (-2.0, -1.0, -0.1, -0.01, -0.001, -0.0001,
                      0.0, 0.0001, 0.001, 0.01, 0.1, 1.0, 2.0)
@@ -172,6 +171,8 @@ _CRIT_5PCT = (-2.86154, -2.8903, -4.234, -40.04)  # polynomial in 1/nobs
 
 def _mackinnon_p_value(stat):
     """Elementwise approximate p-value; exactly 0 below tau_min, 1 above tau_max."""
+    from scipy.special import ndtr
+
     stat = np.asarray(stat, dtype=float)
     p_value = np.where(stat <= _TAU_STAR,
                        ndtr(np.polyval(_TAU_SMALL_P[::-1], stat)),

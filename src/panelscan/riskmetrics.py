@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import simgen
 
@@ -71,6 +70,8 @@ def theoretical_return_model(mu, sigma, correlation, dt, h_steps=1) -> ReturnMod
 
 def norm_quantile(p):
     """Inverse standard normal CDF."""
+    from scipy.special import ndtri
+
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")

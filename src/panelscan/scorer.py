@@ -37,7 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from . import density
 
@@ -153,14 +152,12 @@ def forward(net: ScoringNetwork, epsilon):
     return scores[:, 0]
 
 
-def _require_both_classes(labels):
-    if not (np.any(labels == 0) and np.any(labels == 1)):
+def _class_indices(labels):
+    """Row indices of the uncontaminated and of the contaminated rows; both must exist."""
+    index_u, index_c = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    if not (index_u.size and index_c.size):
         raise ValueError("both classes required")
-
-
-def _class_split(scores, A):
-    _require_both_classes(A)
-    return scores[A == 0], scores[A == 1]
+    return index_u, index_c
 
 
 def _bandwidths(scores_u, scores_c, pinned):
@@ -176,6 +173,8 @@ def _score_gradients(scores, A, s, tau, bandwidths):
     Clipped rows are flat in the BCE part. A single-class batch has no class
     pair for the density terms, so it gets the BCE part alone.
     """
+    from scipy.special import expit
+
     n = scores.size
     raw = expit((scores - s) / tau)
     unclipped = (raw > PROB_CLIP) & (raw < 1.0 - PROB_CLIP)
@@ -232,11 +231,17 @@ def _as_batch(net, epsilon, A):
     return batch, labels
 
 
-def _observe(net, batch, labels, bandwidths=None):
-    """The one loss kernel, BCE plus both density terms: loss_terms and every observation."""
+def _observe(net, batch, labels, classes, bandwidths=None):
+    """The one loss kernel, BCE plus both density terms: loss_terms and every observation.
+
+    classes is _class_indices(labels), which train finds once for all its observations.
+    """
+    from scipy.special import expit, ndtr
+
     scores = forward(net, batch)
     s, tau = net.cutoff, net.temperature
-    scores_u, scores_c = _class_split(scores, labels)
+    index_u, index_c = classes
+    scores_u, scores_c = scores[index_u], scores[index_c]
     h_u, h_c = _bandwidths(scores_u, scores_c, bandwidths)
     raw = expit((scores - s) / tau)
     p_hat = np.clip(raw, PROB_CLIP, 1.0 - PROB_CLIP)
@@ -254,7 +259,7 @@ def loss_terms(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> LossTe
     observation sees them.
     """
     batch, labels = _as_batch(net, epsilon_batch, A)
-    return _observe(net, batch, labels, bandwidths)
+    return _observe(net, batch, labels, _class_indices(labels), bandwidths)
 
 
 def loss(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> float:
@@ -264,7 +269,7 @@ def loss(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> float:
 def loss_gradient(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> LossGradient:
     """Exact gradients of the loss over weights, biases and the cut-off."""
     batch, labels = _as_batch(net, epsilon_batch, A)
-    _require_both_classes(labels)
+    _class_indices(labels)  # raises on a single-class batch
     return _gradients(net, batch, labels, bandwidths)
 
 
@@ -382,7 +387,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     labels = np.asarray(A_train, dtype=float).ravel()
     if labels.size != batch.shape[0]:
         raise ValueError("labels and batch disagree on the number of rows")
-    _require_both_classes(labels)
+    classes = _class_indices(labels)
 
     rng = np.random.default_rng(cfg.seed)
     net = _init_network(batch.shape[1], cfg.hidden_dims, rng)
@@ -426,7 +431,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
             best_iteration = iteration
 
     def _observe_current(iteration):
-        future = pool.submit(contextvars.copy_context().run, _observe, net, batch, labels)
+        future = pool.submit(contextvars.copy_context().run, _observe, net, batch, labels, classes)
         pending.append((iteration, net, future))
         while len(pending) > 2 * observers:
             _book_oldest()
@@ -474,7 +479,7 @@ def naive_scores(epsilon):
 
 def naive_fit(epsilon_train, A_train):
     """Cut-off at the crossing of the class-conditional naive score densities."""
-    labels = np.asarray(A_train)
-    scores = naive_scores(epsilon_train)
-    scores_u, scores_c = _class_split(np.atleast_1d(scores), labels)
-    return density.intersection_cutoff(density.fit_kde(scores_u), density.fit_kde(scores_c))
+    scores = np.atleast_1d(naive_scores(epsilon_train))
+    index_u, index_c = _class_indices(np.asarray(A_train))
+    return density.intersection_cutoff(density.fit_kde(scores[index_u]),
+                                       density.fit_kde(scores[index_c]))

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, byte-level reproducibility, report shapes."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -955,3 +956,49 @@ def test_module_entry_points_exit_0_with_empty_stderr():
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert "simulate" in proc.stdout
+
+
+# Runs cli.main on each argv of a JSON list, then prints the scipy modules loaded
+_SCIPY_PROBE = """
+import json, sys
+from panelscan import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize("case", ["import", "help", "detect", "fit"])
+def test_scipy_loads_only_in_the_commands_that_call_it(workdir, tmp_path, case):
+    # a fresh interpreter: this one already holds scipy
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    out = ["--out-dir", str(tmp_path), "--quiet"]
+    chain = [
+        ["simulate", "--seed", "7", *out, *SIM_FLAGS],
+        ["augment", "--seed", "7", *out, "--panel", str(tmp_path / "contaminated_panel.csv"),
+         "--value-labels", str(tmp_path / "value_labels.csv"), *AUG_FLAGS],
+    ]
+    rounds = {
+        "import": [],
+        "help": [["--help"]],
+        "detect": [*chain, ["detect", *out, "--windows", str(tmp_path / "windows_test.csv"),
+                            "--cleaned", "cleaned.csv", *map(str, _model_flags(workdir))]],
+        # five Adam steps: the first scipy import may come from an observer thread
+        "fit": [*chain, ["fit", "--seed", "7", *out,
+                         "--windows", str(tmp_path / "windows_train.csv"),
+                         "--labels", str(tmp_path / "labels_train.csv"),
+                         "--k", "12", "--hidden", "16", "--iters", "5"]],
+    }[case]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(rounds)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    if case == "fit":
+        assert "scipy.special" in loaded
+        assert (tmp_path / "net.txt").exists()
+    else:
+        assert loaded == []
