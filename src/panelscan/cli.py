@@ -249,21 +249,30 @@ def cmd_var(args):
         f"VaR theo {estimates['theo']:.6g}, loc_pred {estimates['loc_pred']:.6g}"
 
 
+def _bench_run(cfg, buckets, quiet):
+    """One bench seed's flattened metrics and, if buckets, its amplitude buckets.
+
+    Only these records outlive the call, so bench holds one run at a time."""
+    started = time.perf_counter()
+    result = workflows.reference_run(cfg)
+    if not quiet:
+        print(f"seed {cfg.seed}: test F1 {result.summary['ident_test'].f1:.4f} "
+              f"({time.perf_counter() - started:.1f}s)")
+    flat = evaluation.flatten_metrics(result.summary)
+    if not buckets:
+        return flat, None
+    amplitudes, ident_correct, _ = workflows.amplitude_records(result)
+    return flat, evaluation.amplitude_sensitivity(amplitudes, ident_correct)
+
+
 def cmd_bench(args):
     if args.runs < 2:
         raise ValueError("bench needs at least 2 runs")
     base = _pipeline_config(args)
     seeds = [args.seed + i for i in range(args.runs)]
-    runs = []
     started = time.perf_counter()
-    for seed in seeds:
-        t0 = time.perf_counter()
-        result = workflows.reference_run(replace(base, seed=seed))
-        runs.append(result)
-        if not args.quiet:
-            print(f"seed {seed}: test F1 {result.summary['ident_test'].f1:.4f} "
-                  f"({time.perf_counter() - t0:.1f}s)")
-    flat = [evaluation.flatten_metrics(r.summary) for r in runs]
+    records = [_bench_run(replace(base, seed=seed), args.buckets, args.quiet) for seed in seeds]
+    flat = [metrics for metrics, _ in records]
     mean, std = evaluation.aggregate(flat)
     keys = list(mean)
     summary = {
@@ -283,9 +292,7 @@ def cmd_bench(args):
     if args.buckets:
         ratios = [[] for _ in range(4)]  # per bucket, the runs where it holds rows
         edges = []
-        for result in runs:
-            amplitudes, ident_correct, _ = workflows.amplitude_records(result)
-            buckets = evaluation.amplitude_sensitivity(amplitudes, ident_correct)
+        for _, buckets in records:
             for held, b in zip(ratios, buckets):
                 if b.ratio is not None:
                     held.append(b.ratio)

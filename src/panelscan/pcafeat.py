@@ -42,6 +42,11 @@ def _eigh_descending(cov):
 
     Eigenvectors are columns, each with its largest-magnitude component
     positive, so the basis is deterministic up to LAPACK's own round-off.
+    The rule is undefined when two components tie in magnitude, and round-off
+    then picks the sign. A tie can flip only the bytes of a written pca.txt:
+    epsilon uses each basis row twice, and IEEE negation is exact, so epsilon
+    and every score, flag, location and PCA_RECON value built on it are the
+    same bits under either sign.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     eigenvalues = eigenvalues[::-1]

@@ -16,7 +16,8 @@ with respect to every score and to s are exact:
     d AUC_u / d s = -f_u(s),   d AUC_c / d s = +f_c(s),
 
 and per-score derivatives are kernel CDF derivatives. Everything else is
-plain backpropagation. The optimizer is Adam on 16-row minibatches by default;
+plain backpropagation, written in the layout of theta = [W..., b..., s], the
+one vector Adam steps on. The optimizer is Adam on 16-row minibatches by default;
 the loss is observed on the full training set at every iteration, and the
 returned parameters are the best-loss snapshot.
 
@@ -77,13 +78,6 @@ class LossTerms:
 
 
 @dataclass
-class LossGradient:
-    weights: list
-    biases: list
-    cutoff: float
-
-
-@dataclass
 class TrainLogRow:
     iteration: int
     loss: float
@@ -105,17 +99,15 @@ class TrainResult:
 
 
 def _forward_cached(net, batch):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    activations = [batch]
-    pre_activations = []
+    """Forward pass keeping each layer's input for backprop."""
+    inputs = [batch]
     a = batch
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         z = a @ W.T + b
-        pre_activations.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
+        a = np.maximum(z, 0.0, out=z)
+        inputs.append(a)
     scores = a @ net.weights[-1].T + net.biases[-1]
-    return scores[:, 0], pre_activations, activations
+    return scores[:, 0], inputs
 
 
 def forward(net: ScoringNetwork, epsilon):
@@ -201,24 +193,23 @@ def _score_gradients(scores, A, s, tau, bandwidths):
     return d_scores, d_cutoff
 
 
-def _backprop(net, pre_activations, activations, d_scores):
-    delta = d_scores[:, None]
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
-    for layer in range(len(net.weights) - 1, -1, -1):
-        grad_w[layer] = delta.T @ activations[layer]
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ net.weights[layer]) * (pre_activations[layer - 1] > 0.0)
-    return grad_w, grad_b
-
-
 def _gradients(net, batch, A, bandwidths=None):
-    """The exact gradients of a batch's loss: the one gradient path."""
-    scores, pre_activations, activations = _forward_cached(net, batch)
+    """The exact gradient of a batch's loss in theta's layout: the one gradient path.
+
+    A ReLU output is > 0 exactly where its pre-activation is, so it is the mask.
+    """
+    scores, inputs = _forward_cached(net, batch)
     d_scores, d_cutoff = _score_gradients(scores, A, net.cutoff, net.temperature, bandwidths)
-    grad_w, grad_b = _backprop(net, pre_activations, activations, d_scores)
-    return LossGradient(weights=grad_w, biases=grad_b, cutoff=d_cutoff)
+    grad = np.empty(_parameter_count(net.layer_dims))
+    grad[-1] = d_cutoff
+    layers = _network(grad, net.layer_dims, net.temperature)
+    delta = d_scores[:, None]
+    for layer in range(len(inputs) - 1, -1, -1):
+        np.matmul(delta.T, inputs[layer], out=layers.weights[layer])
+        np.sum(delta, axis=0, out=layers.biases[layer])
+        if layer > 0:
+            delta = (delta @ net.weights[layer]) * (inputs[layer] > 0.0)
+    return grad
 
 
 def _as_batch(net, epsilon, A):
@@ -266,28 +257,30 @@ def loss(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> float:
     return loss_terms(net, epsilon_batch, A, bandwidths=bandwidths).total
 
 
-def loss_gradient(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> LossGradient:
-    """Exact gradients of the loss over weights, biases and the cut-off."""
+def loss_gradient(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> ScoringNetwork:
+    """Exact gradient of the loss, built in theta's layout as training builds it
+    and read in the network's shape: weights, biases and cutoff hold d loss / d W^l,
+    d b^l and d s; temperature is the network's own."""
     batch, labels = _as_batch(net, epsilon_batch, A)
     _class_indices(labels)  # raises on a single-class batch
-    return _gradients(net, batch, labels, bandwidths)
+    return _network(_gradients(net, batch, labels, bandwidths), net.layer_dims, net.temperature)
 
 
-def _init_network(p, hidden_dims, rng):
-    dims = [int(p), *(int(d) for d in hidden_dims), 1]
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return ScoringNetwork(layer_dims=dims, weights=weights, biases=biases,
-                          cutoff=0.0, temperature=1.0)
+def _init_network(dims, rng):
+    """theta for a fresh network over dims: W^1, b^1, W^2, b^2, ... drawn in that
+    order, uniform +-1/sqrt(fan_in), into their views; s is 0."""
+    theta = np.zeros(_parameter_count(dims))
+    net = _network(theta, dims, 1.0)
+    for W, b in zip(net.weights, net.biases):
+        bound = 1.0 / np.sqrt(W.shape[1])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return theta
 
 
-def _flat(weights, biases, cutoff):
-    """[W..., b..., s] as one vector: the layout Adam steps on."""
-    return np.concatenate([*(p.ravel() for p in (*weights, *biases)), [cutoff]])
+def _parameter_count(dims):
+    """The length of theta = [W..., b..., s] for a network over dims."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims[:-1], dims[1:])) + 1
 
 
 def _network(theta, dims, temperature):
@@ -350,11 +343,12 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     refit from that batch's scores; a single-class batch gets the gradients of
     its BCE term alone.
 
-    Adam steps on one flat vector theta = [W..., b..., s]. Each step makes a
-    new theta and a new network whose weights and biases are views into it
-    (s is a float), and never writes into an earlier theta, so an iterate
-    handed to an observer or kept as the snapshot stays as it was. Every
-    parameter rounds as it would in a step over each array on its own.
+    Adam steps on one flat vector theta = [W..., b..., s], drawn in place; each
+    gradient is built in its layout. Each step makes a new theta and a new
+    network whose weights and biases are views into it (s is a float), and
+    never writes into an earlier theta, so an iterate handed to an observer or
+    kept as the snapshot stays as it was. Every parameter rounds as it would in
+    a step over each array on its own.
 
     The observations run on the observer pool, one thread per usable core and
     at most 4; the calling thread waits for the oldest observation once more
@@ -390,16 +384,17 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     classes = _class_indices(labels)
 
     rng = np.random.default_rng(cfg.seed)
-    net = _init_network(batch.shape[1], cfg.hidden_dims, rng)
+    dims = [batch.shape[1], *(int(width) for width in cfg.hidden_dims), 1]
+    theta = _init_network(dims, rng)
+    net = _network(theta, dims, float(cfg.temperature))
     scores = forward(net, batch)
     spread = float(np.std(scores))
     if spread > 0:
-        net.weights[-1] = net.weights[-1] / spread
-        net.biases[-1] = net.biases[-1] / spread
+        net.weights[-1] /= spread
+        net.biases[-1] /= spread
         scores = scores / spread
-    net.cutoff = float(np.median(scores))
-    theta = _flat(net.weights, net.biases, net.cutoff)
-    net = _network(theta, net.layer_dims, float(cfg.temperature))
+    theta[-1] = np.median(scores)
+    net.cutoff = float(theta[-1])
 
     history = []
     best = net
@@ -443,8 +438,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
             cursor = 0
         idx = order[cursor:cursor + BATCH_SIZE]  # all rows of a set of fewer rows
         cursor += BATCH_SIZE
-        grads = _gradients(net, batch[idx], labels[idx])
-        return _flat(grads.weights, grads.biases, grads.cutoff)
+        return _gradients(net, batch[idx], labels[idx])
 
     # Adam's two moments, laid out as theta
     m = np.zeros_like(theta)
@@ -460,7 +454,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
                 while pending:
                     _book_oldest()
                 raise
-            net = _network(theta, net.layer_dims, net.temperature)
+            net = _network(theta, dims, net.temperature)
         _observe_current(cfg.max_iters)  # evaluate the final iterate so the last step can win
         while pending:
             _book_oldest()

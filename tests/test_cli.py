@@ -1,10 +1,12 @@
 """End-to-end CLI runs: exit codes, byte-level reproducibility, report shapes."""
 
+import gc
 import inspect
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -775,6 +777,27 @@ def test_bench_two_runs_summary(tmp_path, monkeypatch):
     buckets = (tmp_path / "buckets.csv").read_text().splitlines()
     assert buckets[0] == "bucket,mean_low,mean_high,mean_ratio"
     assert [line.split(",")[3] for line in buckets[1:]] == ["1", "", "0.33333333333333331", "0.5"]
+
+
+def test_bench_holds_one_run_at_a_time(tmp_path, monkeypatch):
+    # each result is held only weakly here, so it lives only as long as bench keeps it
+    # (weak references, not a WeakSet: a dataclass with eq is unhashable)
+    results = []
+    alive_at_start = []
+    reference_run = workflows.reference_run
+
+    def tracked(cfg):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in results))
+        result = reference_run(cfg)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(workflows, "reference_run", tracked)
+    assert _run("bench", "--out-dir", tmp_path, "--quiet", "--runs", 3,
+                "--buckets", "buckets.csv", *SIM_FLAGS) == 0
+    assert alive_at_start == [0, 0, 0]
+    assert len((tmp_path / "buckets.csv").read_text().splitlines()) == 5
 
 
 def test_bench_single_run_exits_3(tmp_path):

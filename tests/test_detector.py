@@ -316,7 +316,7 @@ def _scan_width_model(seed):
     windows = np.lib.stride_tricks.sliding_window_view(walks, 206, axis=1)[:, ::20]
     windows = windows.reshape(-1, 206)
     pca = pcafeat.fit_pca(windows, k=40)
-    net = scorer._init_network(206, (64, 32), rng)
+    net = scorer._network(scorer._init_network([206, 64, 32, 1], rng), [206, 64, 32, 1], 1.0)
     return detector.DetectionModel(pca=pca, net=net), _spiked_rows(windows, seed + 1)
 
 
@@ -339,3 +339,47 @@ def test_detect_iterative_is_the_one_row_batch_at_scan_width(method):
         assert got.repeated_location == want.repeated_location
         iterations.add(got.iterations_used)
     assert {0, 1, detector.DEFAULT_MAX_ITER} <= iterations
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_the_sign_of_a_basis_row_changes_no_bit_of_epsilon_or_what_follows():
+    # the sign rule is undefined on a tie; negation is exact in IEEE arithmetic,
+    # so any sign of any omega row leaves epsilon, scores, flags, locations and
+    # PCA_RECON imputation bit for bit as they were
+    rng = np.random.default_rng(23)
+    walks = 100.0 + np.cumsum(rng.standard_normal((3000, 206)), axis=1)
+    pca = pcafeat.fit_pca(walks, k=40)
+    net = scorer._network(scorer._init_network([206, 64, 32, 1], rng), [206, 64, 32, 1], 1.0)
+    rows = _spiked_rows(walks, seed=24, n_rows=40)
+    model = detector.DetectionModel(pca=pca, net=net)
+    base = detector.score_rows(model, rows)
+    net.cutoff = float(np.quantile(base.scores, 0.5))
+    reports = detector.detect_batch(model, rows, method="PCA_RECON")
+    assert {r.pred_label for r in reports} == {0, 1}
+    sign_sets = [-np.ones(40), *(rng.choice([-1.0, 1.0], 40) for _ in range(4))]
+    for signs in sign_sets:
+        flipped_pca = pcafeat.PcaModel(mean=pca.mean, omega=pca.omega * signs[:, None],
+                                       eigenvalues=pca.eigenvalues, k=pca.k)
+        flipped = detector.DetectionModel(pca=flipped_pca, net=net)
+        for X in (rows, rows[:1], rows[0]):
+            assert np.array_equal(
+                _bits(pcafeat.reconstruction_errors(flipped_pca, X).epsilon),
+                _bits(pcafeat.reconstruction_errors(pca, X).epsilon))
+        for X in (rows, rows[3:4]):
+            got, want = detector.score_rows(flipped, X), detector.score_rows(model, X)
+            for field in ("epsilon", "scores"):
+                assert np.array_equal(_bits(getattr(got, field)), _bits(getattr(want, field)))
+            assert np.array_equal(got.flags, want.flags)
+            assert np.array_equal(got.locations, want.locations)
+        for row, location in zip(rows, base.locations.tolist()):
+            assert np.array_equal(
+                _bits(detector.impute(row, location, "PCA_RECON", flipped_pca)),
+                _bits(detector.impute(row, location, "PCA_RECON", pca)))
+        for got, want in zip(detector.detect_batch(flipped, rows, method="PCA_RECON"), reports):
+            assert (got.pred_label, got.locations, got.iterations_used) == \
+                (want.pred_label, want.locations, want.iterations_used)
+            assert _bits(got.score) == _bits(want.score)
+            assert np.array_equal(_bits(got.imputed_series), _bits(want.imputed_series))

@@ -434,11 +434,16 @@ def _per_parameter_adam(params, m, v, grads, t, learning_rate):
             np.sqrt(v[i] / correct2) + scorer.ADAM_EPS)
 
 
+def _flat(weights, biases, cutoff):
+    # theta's layout spelled out on its own: [W..., b..., s]
+    return np.concatenate([*(p.ravel() for p in (*weights, *biases)), [cutoff]])
+
+
 def test_flat_adam_step_is_bit_equal_to_the_per_parameter_loop():
     rng = np.random.default_rng(31)
     net = _toy_net((5, 4, 3, 1), seed=30)
     params = [*net.weights, *net.biases, net.cutoff]
-    theta = scorer._flat(net.weights, net.biases, net.cutoff)
+    theta = _flat(net.weights, net.biases, net.cutoff)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     m_ref = [np.zeros_like(p) for p in params]
     v_ref = [np.zeros_like(p) for p in m_ref]
@@ -450,18 +455,89 @@ def test_flat_adam_step_is_bit_equal_to_the_per_parameter_loop():
     for t, cutoff_grad in enumerate([*cutoff_grads, 0.37, -1e-9], start=1):
         grads = [rng.standard_normal(np.shape(p)) * 10.0 ** rng.integers(-8, 2)
                  for p in params[:-1]] + [cutoff_grad]
-        g = scorer._flat(grads[:3], grads[3:-1], grads[-1])
+        g = _flat(grads[:3], grads[3:-1], grads[-1])
         before = theta.copy()
         new_theta = scorer._adam_step(theta, m, v, g, t, 1e-3)
         np.testing.assert_array_equal(theta, before)  # the old theta stays as it was
         theta = new_theta
         _per_parameter_adam(params, m_ref, v_ref, grads, t, 1e-3)
         for flat, per_parameter in ((theta, params), (m, m_ref), (v, v_ref)):
-            expected = scorer._flat(per_parameter[:3], per_parameter[3:-1], per_parameter[-1])
+            expected = _flat(per_parameter[:3], per_parameter[3:-1], per_parameter[-1])
             assert flat.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     stepped = scorer._network(theta, net.layer_dims, net.temperature)
     assert all(np.shares_memory(a, theta) for a in (*stepped.weights, *stepped.biases))
     assert type(stepped.cutoff) is float and stepped.cutoff == params[-1]
+
+
+def _per_array_gradient(net, batch, A, bandwidths):
+    # the per-array backprop the flat gradient replaced: ReLU masks from the kept
+    # pre-activations, gradients in lists, then flattened
+    activations, pre_activations = [batch], []
+    a = batch
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = a @ W.T + b
+        pre_activations.append(z)
+        a = np.maximum(z, 0.0)
+        activations.append(a)
+    scores = (a @ net.weights[-1].T + net.biases[-1])[:, 0]
+    d_scores, d_cutoff = scorer._score_gradients(scores, A, net.cutoff, net.temperature,
+                                                 bandwidths)
+    delta = d_scores[:, None]
+    grad_w, grad_b = [None] * len(net.weights), [None] * len(net.biases)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        grad_w[layer] = delta.T @ activations[layer]
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ net.weights[layer]) * (pre_activations[layer - 1] > 0.0)
+    return _flat(grad_w, grad_b, d_cutoff)
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 3, 1), (12, 9, 1), (64, 16, 1), (206, 64, 32, 1)])
+def test_flat_gradient_is_bit_equal_to_the_per_array_backprop(dims):
+    rng = np.random.default_rng(sum(dims))
+    # rows picked from a column-major set, as training's minibatches are
+    X = np.asfortranarray(rng.standard_normal((60, dims[0])) * rng.uniform(0.1, 3.0, dims[0]))
+    A = (rng.random(60) < 0.3).astype(float)
+    A[:2] = 0.0, 1.0
+    nets = [_toy_net(dims, seed=sum(dims) + 1)]
+    for seed in range(3):
+        theta = scorer._init_network(list(dims), np.random.default_rng(seed))
+        nets.append(scorer._network(theta, list(dims), 0.2))
+    order = rng.permutation(60)
+    batches = {
+        "16 rows": order[:16],
+        "14 rows": order[46:],  # the last minibatch of a pass over 12 030 rows
+        "clean only": np.flatnonzero(A == 0)[:16],
+        "contaminated only": np.flatnonzero(A == 1)[:5],
+    }
+    for net in nets:
+        net.cutoff = float(np.median(scorer.forward(net, X)))
+        for idx in batches.values():
+            for bandwidths in (None, (0.8, 0.9)):
+                got = scorer._gradients(net, X[idx], A[idx], bandwidths)
+                want = _per_array_gradient(net, X[idx], A[idx], bandwidths)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # the batches reach both branches of the score gradient and dead ReLU units
+    assert A[batches["14 rows"]].min() == 0.0 and A[batches["14 rows"]].max() == 1.0
+    assert A[batches["16 rows"]].min() == 0.0 and A[batches["16 rows"]].max() == 1.0
+    if len(dims) > 2:
+        _, inputs = scorer._forward_cached(nets[0], X)
+        assert (inputs[1] == 0.0).any() and (inputs[1] > 0.0).any()
+
+
+def test_init_network_draws_as_the_per_layer_loop():
+    for dims in ([3, 1], [5, 4, 3, 1], [206, 64, 32, 1]):
+        rng = np.random.default_rng(8)
+        theta = scorer._init_network(dims, rng)
+        reference = np.random.default_rng(8)
+        weights, biases = [], []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            weights.append(reference.uniform(-bound, bound, size=(fan_out, fan_in)))
+            biases.append(reference.uniform(-bound, bound, size=fan_out))
+        expected = _flat(weights, biases, 0.0)
+        assert theta.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def _digest(net):
