@@ -1,8 +1,9 @@
 """Command-line front-end wiring the modules into reproducible experiments.
 
 Subcommands: simulate | augment | fit | detect | evaluate | var | bench.
-Every command is a pure function of (input files, flags, seed); re-running
-with the same inputs reproduces the outputs byte for byte.
+Every command is a pure function of (input files, flags), and the four that
+draw random numbers (simulate, augment, fit, bench) draw them from --seed.
+Re-running with the same inputs reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 I/O or parse problem, 3 validation or dimension
 problem, 4 numerical failure. No command that exits non-zero leaves a file it
@@ -237,7 +238,7 @@ def cmd_var(args):
     pred = workflows.detect_panel(model, contaminated, method=args.method)
     estimates, errors = workflows.var_estimates(
         clean, contaminated, value_labels, pred, mu, sigma, args.correlation, args.dt,
-        args.h, portfolio, args.alpha, method=args.method)
+        args.h, portfolio, args.alpha, model.pca, method=args.method)
     payload = {
         "alpha": args.alpha,
         "horizon": args.h,
@@ -338,7 +339,6 @@ def _write_outputs(args, outputs, figures):
 # -- parser ------------------------------------------------------------------
 
 def _add_global_flags(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--config", help="flat key=value config file; flags win")
     parser.add_argument("--out-dir", default=".", help="directory for output files")
     parser.add_argument("--quiet", action="store_true", help="suppress status lines")
@@ -380,19 +380,21 @@ def build_parser():
     subparsers = parser.add_subparsers(dest="command", metavar="command")
     parsers = {}
 
-    def sub(name, help_text, func):
+    def sub(name, help_text, func, seeded=False):
         p = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="master RNG seed")
         _add_global_flags(p)
         p.set_defaults(func=func)
         parsers[name] = p
         return p
 
     p = sub("simulate", "simulate a correlated GBM panel and contaminate it",
-            cmd_simulate)
+            cmd_simulate, seeded=True)
     _add_panel_flags(p)
 
     p = sub("augment", "window a contaminated panel into labeled train/test rows",
-            cmd_augment)
+            cmd_augment, seeded=True)
     p.add_argument("--panel", required=True, help="contaminated panel CSV")
     p.add_argument("--value-labels", required=True, help="value-label matrix CSV")
     p.add_argument("--split-index", type=int, default=workflows.PipelineConfig.split_index,
@@ -400,7 +402,7 @@ def build_parser():
     p.add_argument("--window-length", type=int, default=workflows.PipelineConfig.window_length)
     p.add_argument("--r-c", type=float, default=workflows.PipelineConfig.r_c)
 
-    p = sub("fit", "fit the PCA features and train the scoring network", cmd_fit)
+    p = sub("fit", "fit the PCA features and train the scoring network", cmd_fit, seeded=True)
     p.add_argument("--windows", required=True, help="training windows CSV")
     p.add_argument("--labels", required=True, help="training labels CSV")
     p.add_argument("--k", type=int, default=pcafeat.DEFAULT_LATENT_DIM)
@@ -446,7 +448,7 @@ def build_parser():
     p.add_argument("--method", choices=detector.IMPUTATION_METHODS,
                    default=detector.DEFAULT_METHOD)
 
-    p = sub("bench", "multi-seed end-to-end benchmark", cmd_bench)
+    p = sub("bench", "multi-seed end-to-end benchmark", cmd_bench, seeded=True)
     _add_panel_flags(p)
     p.add_argument("--runs", type=int, default=10, help="number of seeds")
     p.add_argument("--buckets", help="write amplitude sensitivity buckets to this file name")

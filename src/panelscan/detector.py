@@ -18,6 +18,9 @@ report is bit for bit detect_batch's on the one-row batch. The same row inside
 a larger batch agrees only to round-off, because BLAS sums a batch (gemm) in
 another order than one row (gemv), so a score within a few ulp of the cut-off
 can flag on one side and not the other.
+
+A report derives its iteration count: each round records a new location or,
+at most once, ends on a repeated one.
 """
 
 from __future__ import annotations
@@ -50,8 +53,11 @@ class DetectionReport:
     score: float
     locations: list           # 1-based window-relative indices, discovery order
     imputed_series: np.ndarray
-    iterations_used: int
     repeated_location: bool = False
+
+    @property
+    def iterations_used(self) -> int:  # one round per location, plus one ending on a repeat
+        return len(self.locations) + self.repeated_location
 
 
 @dataclass
@@ -67,8 +73,6 @@ class ScoredRows:
 def score_rows(model: DetectionModel, X) -> ScoredRows:
     """Identify and localize every row: A_hat = 1 iff score(epsilon) > s, strict."""
     epsilon = pcafeat.reconstruction_errors(model.pca, X).epsilon
-    if epsilon.ndim == 1:  # one window row
-        epsilon = epsilon[None, :]
     scores = scorer.forward(model.net, epsilon)
     return ScoredRows(epsilon=epsilon, scores=scores, flags=scores > model.net.cutoff,
                       locations=np.abs(epsilon).argmax(axis=1) + 1)
@@ -122,12 +126,11 @@ def detect_batch(model: DetectionModel, X, method=DEFAULT_METHOD,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    rows = np.array(X, dtype=float, ndmin=2)
+    rows = np.array(X, dtype=float)
     first = score_rows(model, rows)
     n_rows = len(first.scores)
     locations = [[] for _ in range(n_rows)]
     repeated = [False] * n_rows
-    iterations = [0] * n_rows
     scored, current = range(n_rows), first  # rows whose record is current
     while True:
         rescore = []
@@ -135,13 +138,12 @@ def detect_batch(model: DetectionModel, X, method=DEFAULT_METHOD,
                                         current.locations.tolist()):
             if not flagged:
                 continue
-            iterations[i] += 1
             if location in locations[i]:
                 repeated[i] = True
                 continue
             locations[i].append(location)
             rows[i] = impute(rows[i], location, method, pca=model.pca)
-            if iterations[i] < max_iter:
+            if len(locations[i]) < max_iter:
                 rescore.append(i)
         if not rescore:
             break
@@ -153,7 +155,6 @@ def detect_batch(model: DetectionModel, X, method=DEFAULT_METHOD,
             score=score,
             locations=locations[i],
             imputed_series=rows[i].copy(),  # a view would pin the whole batch
-            iterations_used=iterations[i],
             repeated_location=repeated[i],
         )
         for i, (flagged, score) in enumerate(zip(first.flags.tolist(), first.scores.tolist()))
@@ -173,19 +174,17 @@ def detect_iterative(model: DetectionModel, X_row, method=DEFAULT_METHOD,
     cutoff = model.net.cutoff
     epsilon = pcafeat.reconstruction_errors(model.pca, row).epsilon
     first = score = scorer.forward(model.net, epsilon)
-    locations, iterations, repeated = [], 0, False
+    locations, repeated = [], False
     while score > cutoff:
-        iterations += 1
         location = int(np.abs(epsilon).argmax()) + 1
         if location in locations:
             repeated = True
             break
         locations.append(location)
         row = impute(row, location, method, pca=model.pca)
-        if iterations == max_iter:
+        if len(locations) == max_iter:
             break
         epsilon = pcafeat.reconstruction_errors(model.pca, row).epsilon
         score = scorer.forward(model.net, epsilon)
     return DetectionReport(pred_label=int(first > cutoff), score=first, locations=locations,
-                           imputed_series=row, iterations_used=iterations,
-                           repeated_location=repeated)
+                           imputed_series=row, repeated_location=repeated)

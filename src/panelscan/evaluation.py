@@ -7,9 +7,10 @@ which fits the augmented Dickey-Fuller regression
 
 (intercept, no trend) by OLS and reads the t-statistic of gamma against the
 MacKinnon response surfaces: the 1994 surface for an approximate p-value and
-the 2010 critical-value surface for the 5% decision. Every row of a batch has
-the same length and lag order, so one private kernel stacks the rows' normal
-equations and solves them together; adf_test is that kernel on one row.
+the 2010 critical-value surface for the 5% decision, at Schwert's (1989) lag
+order for the series length. Every row of a batch has the same length and so
+the same lag order: one private kernel stacks the rows' normal equations and
+solves them together, and adf_test is that kernel on one row.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ class _AdfRows:
     critical_5pct: float
 
 
-def _adf_batch(series, lag_order=None) -> _AdfRows:
+def _adf_batch(series) -> _AdfRows:
     """ADF t-statistic of gamma and its p-value for every row of an (n, T) array.
 
     The design is stored rows x regressors x observations. Stacked matmuls
@@ -213,11 +214,7 @@ def _adf_batch(series, lag_order=None) -> _AdfRows:
     """
     x = np.atleast_2d(np.asarray(series, dtype=float))
     n_rows, n = x.shape
-    if lag_order is None:
-        lag_order = schwert_lag(n)
-    lag_order = int(lag_order)
-    if lag_order < 0:
-        raise ValueError("lag_order must be >= 0")
+    lag_order = schwert_lag(n)
     n_regressors = lag_order + 2
     nobs = n - lag_order - 1
     if nobs <= n_regressors:
@@ -252,9 +249,9 @@ def _adf_batch(series, lag_order=None) -> _AdfRows:
                     lag_order=lag_order, critical_5pct=_mackinnon_crit_5pct(nobs))
 
 
-def adf_test(series, lag_order=None) -> AdfResult:
-    """Augmented Dickey-Fuller test with intercept, no trend."""
-    rows = _adf_batch(np.ravel(series)[None, :], lag_order)
+def adf_test(series) -> AdfResult:
+    """Augmented Dickey-Fuller test with intercept, no trend, at the Schwert lag."""
+    rows = _adf_batch(np.ravel(series)[None, :])
     stat = float(rows.statistics[0])
     return AdfResult(statistic=stat, lag_order=rows.lag_order,
                      p_value=float(rows.p_values[0]), critical_5pct=rows.critical_5pct,

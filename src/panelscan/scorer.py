@@ -465,15 +465,12 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
 
 def naive_scores(epsilon):
     """L2 norm of each reconstruction-error row."""
-    eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim == 1:
-        return float(np.linalg.norm(eps))
-    return np.linalg.norm(eps, axis=1)
+    return np.linalg.norm(np.asarray(epsilon, dtype=float), axis=1)
 
 
 def naive_fit(epsilon_train, A_train):
     """Cut-off at the crossing of the class-conditional naive score densities."""
-    scores = np.atleast_1d(naive_scores(epsilon_train))
+    scores = naive_scores(epsilon_train)
     index_u, index_c = _class_indices(np.asarray(A_train))
     return density.intersection_cutoff(density.fit_kde(scores[index_u]),
                                        density.fit_kde(scores[index_c]))

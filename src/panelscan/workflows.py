@@ -145,7 +145,7 @@ def fit_detector(bundle: DatasetBundle):
 
 def dummy_localize(windows):
     """Baseline location guess: 1-based argmax of the raw observations."""
-    return np.argmax(np.atleast_2d(windows), axis=1) + 1
+    return np.argmax(windows, axis=1) + 1
 
 
 def non_extreme_mask(panel: simgen.LabeledPanel):
@@ -329,20 +329,21 @@ def _fresh_panel(result: PipelineResult, study, run_index, n_anom):
 
 
 def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, h_steps,
-                  portfolio: riskmetrics.Portfolio, alpha, method=detector.DEFAULT_METHOD):
+                  portfolio: riskmetrics.Portfolio, alpha, pca: pcafeat.PcaModel,
+                  method=detector.DEFAULT_METHOD):
     """The five portfolio VaR estimates and each variant's error against theo.
 
     theo comes from the generating (mu, sigma, correlation, dt); the other
     four are fitted to the clean prices, the contaminated prices, and the
-    contaminated prices imputed at the true and at the predicted stamps.
-    Returns (estimates, errors): tag -> VaR and tag -> (absolute, relative)
-    for every tag but theo.
+    contaminated prices imputed (PCA_RECON with pca) at the true and at the
+    predicted stamps. Returns (estimates, errors): tag -> VaR and
+    tag -> (absolute, relative) for every tag but theo.
     """
     variants = {
         "clean": clean,
         "anom": contaminated,
-        "loc_true": impute_panel(contaminated, truth, method=method),
-        "loc_pred": impute_panel(contaminated, pred, method=method),
+        "loc_true": impute_panel(contaminated, truth, method=method, pca=pca),
+        "loc_pred": impute_panel(contaminated, pred, method=method, pca=pca),
     }
     theo_model = riskmetrics.theoretical_return_model(mu, sigma, correlation, dt, h_steps)
     estimates = {"theo": riskmetrics.portfolio_var(theo_model, portfolio, alpha)}
@@ -368,7 +369,7 @@ def var_run(result: PipelineResult, run_index, n_anom=4) -> dict:
     portfolio = riskmetrics.Portfolio(weights=np.full(cfg.n_stocks, 1.0 / cfg.n_stocks))
     estimates, errors = var_estimates(
         clean.prices, contaminated.prices, truth, pred, base.mu, base.sigma,
-        cfg.correlation, base.dt, DEFAULT_H_STEPS, portfolio, DEFAULT_VAR_ALPHA)
+        cfg.correlation, base.dt, DEFAULT_H_STEPS, portfolio, DEFAULT_VAR_ALPHA, result.model.pca)
     out = {f"var_{tag}": value for tag, value in estimates.items()}
     for tag, (absolute, relative) in errors.items():
         out[f"abs_err_{tag}"] = absolute

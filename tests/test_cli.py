@@ -421,6 +421,19 @@ def test_var_emits_five_sources_and_errors(workdir, tmp_path):
     assert payload["horizon"] == 1
 
 
+@pytest.mark.parametrize("method", detector.IMPUTATION_METHODS)
+def test_var_runs_every_imputation_method(workdir, tmp_path, method):
+    # PCA_RECON imputes with the fitted PCA read from --pca
+    assert _run("var", "--out-dir", tmp_path, "--quiet", "--method", method,
+                "--clean", workdir / "clean_panel.csv",
+                "--panel", workdir / "contaminated_panel.csv",
+                "--value-labels", workdir / "value_labels.csv",
+                "--params", workdir / "params.csv", *_model_flags(workdir)) == 0
+    estimates = io.read_json(tmp_path / "var_report.json")["var"]
+    assert set(estimates) == {"theo", "clean", "anom", "loc_true", "loc_pred"}
+    assert all(np.isfinite(value) for value in estimates.values())
+
+
 def test_var_shape_mismatch_exits_3(workdir, tmp_path):
     io.write_panel(tmp_path / "tiny.csv", np.ones((2, 3)))
     assert _run("var", "--out-dir", tmp_path, "--quiet",
@@ -503,7 +516,7 @@ def _var_config_lines():
     _, parsers = cli.build_parser()
     var = parsers["var"]
     return (["# var at its defaults", ""]
-            + [f"{key} = {var.get_default(key)}" for key in _FLOAT_KEYS + ("h", "method", "seed")]
+            + [f"{key} = {var.get_default(key)}" for key in _FLOAT_KEYS + ("h", "method")]
             + ["quiet = true"])
 
 
@@ -893,13 +906,14 @@ def test_config_value_outside_the_choices_exits_2(workdir, tmp_path, capsys):
 _CONFIG_AS_FLAGS = {
     "simulate": ([], {"quiet": "true", "rho": "0.25", "stocks": "9", "out-dir": "runs"}),
     "augment": (["--panel", "p.csv", "--value-labels", "v.csv"],
-                {"quiet": "yes", "r_c": "0.1", "window_length": "32", "out_dir": "runs"}),
+                {"quiet": "yes", "r_c": "0.1", "window_length": "32", "seed": "5",
+                 "out_dir": "runs"}),
     "fit": (["--windows", "w.csv", "--labels", "l.csv"],
             {"quiet": "on", "lr": "0.01", "iters": "7", "hidden": "8,4", "out-dir": "runs"}),
     "detect": (["--windows", "w.csv", "--pca", "pca.txt", "--net", "net.txt"],
                {"quiet": "1", "max-iter": "3", "method": "LI", "cleaned": "c.csv"}),
     "evaluate": (["--windows", "w.csv", "--labels", "l.csv", "--pca", "pca.txt",
-                  "--net", "net.txt"], {"quiet": "True", "seed": "5", "prc": "prc.csv"}),
+                  "--net", "net.txt"], {"quiet": "True", "prc": "prc.csv"}),
     "var": (["--clean", "c.csv", "--panel", "p.csv", "--value-labels", "v.csv",
              "--params", "params.csv", "--pca", "pca.txt", "--net", "net.txt"],
             {"quiet": "true", "alpha": "0.9", "h": "5", "method": "PCA_RECON",
@@ -930,6 +944,20 @@ def test_a_config_file_parses_as_the_same_flags_on_the_command_line(
     for key in settings:
         dest = key.replace("-", "_")
         assert from_flags[dest] != defaults[dest], dest
+
+
+def test_seed_is_a_flag_of_exactly_the_commands_that_draw_random_numbers(tmp_path, capsys):
+    _, parsers = cli.build_parser()
+    seeded = {name for name, parser in parsers.items() if "--seed" in parser.format_help()}
+    assert seeded == {"simulate", "augment", "fit", "bench"}
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = 1\n")
+    for command in ("detect", "evaluate", "var"):
+        required = _CONFIG_AS_FLAGS[command][0]
+        assert cli.main([command, *required, "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert cli.main([command, *required, "--config", str(config)]) == 2
+        assert "unrecognized arguments: --seed=1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, dest, function, keyword", [

@@ -1,5 +1,7 @@
 """Two-step detection: score_rows (identify and localize), impute, iterate."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ def test_identify_is_strictly_above_cutoff():
     eps = pcafeat.reconstruction_errors(model.pca, clean).epsilon
     exact = scorer.forward(model.net, eps)
     model.net.cutoff = float(exact)
-    assert detector.score_rows(model, clean).flags[0] == 0
+    assert detector.score_rows(model, clean[None, :]).flags[0] == 0
     report = detector.detect_iterative(model, clean)
     assert (report.pred_label, report.iterations_used, report.locations) == (0, 0, [])
 
@@ -59,7 +61,7 @@ def test_localize_finds_the_spike():
     for j in (0, 3, 9):
         spiked = X[1].copy()
         spiked[j] += 2.5
-        assert detector.score_rows(model, spiked).locations[0] == j + 1
+        assert detector.score_rows(model, spiked[None, :]).locations[0] == j + 1
 
 
 def test_localize_tie_breaks_to_first_index():
@@ -146,7 +148,7 @@ def test_detect_iterative_removes_planted_anomalies():
     assert report.iterations_used == len(report.locations)
     assert not report.repeated_location
     # the imputed series no longer identifies
-    assert detector.score_rows(model, report.imputed_series).flags[0] == 0
+    assert detector.score_rows(model, report.imputed_series[None, :]).flags[0] == 0
 
 
 def test_detect_iterative_clean_window_short_circuits():
@@ -199,7 +201,8 @@ def test_scores_match_forward_on_features():
 
 
 def _reference_detect(model, row, method, max_iter):
-    """The per-row loop that detect_batch replaced, with each step written out."""
+    """The per-row loop that detect_batch replaced, with each step written out.
+    It counts its own iterations, so it checks the report's derived count."""
     def features(row):
         return pcafeat.reconstruction_errors(model.pca, row[None, :]).epsilon
 
@@ -216,8 +219,9 @@ def _reference_detect(model, row, method, max_iter):
         locations.append(location)
         row = detector.impute(row, location, method, pca=model.pca)
         contaminated = float(scorer.forward(model.net, features(row))[0]) > model.net.cutoff
-    return detector.DetectionReport(int(first > model.net.cutoff), first, locations, row,
-                                    iterations, repeated)
+    return SimpleNamespace(pred_label=int(first > model.net.cutoff), score=first,
+                           locations=locations, imputed_series=row,
+                           iterations_used=iterations, repeated_location=repeated)
 
 
 def _spiked_rows(X, seed, n_rows=60):

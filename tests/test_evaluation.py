@@ -131,17 +131,17 @@ def test_adf_white_noise_always_rejects():
 def test_adf_decision_consistent_with_critical_value():
     rng = np.random.default_rng(33)
     series = 0.4 * rng.standard_normal(500) + np.linspace(0.0, 0.2, 500)
-    result = evaluation.adf_test(series, lag_order=3)
-    assert result.lag_order == 3
+    result = evaluation.adf_test(series)
+    assert result.lag_order == evaluation.schwert_lag(500) == 17
     assert result.reject_5pct == (result.statistic < result.critical_5pct)
     assert 0.0 <= result.p_value <= 1.0
 
 
 def test_adf_singular_regression_errors():
-    with pytest.raises(ValueError):
-        evaluation.adf_test(np.full(50, 2.0), lag_order=0)
-    with pytest.raises(ValueError):
-        evaluation.adf_test(np.arange(5.0), lag_order=3)
+    with pytest.raises(ValueError, match="singular ADF regression"):
+        evaluation.adf_test(np.full(50, 2.0))
+    with pytest.raises(ValueError, match="series too short: 5 points, lag order 5"):
+        evaluation.adf_test(np.arange(5.0))
 
 
 def _lstsq_adf_statistic(series, lag):

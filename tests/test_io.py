@@ -824,11 +824,9 @@ def test_training_log_format(tmp_path):
 def test_detect_report_round_trip(tmp_path):
     reports = [
         detector.DetectionReport(pred_label=1, score=0.875,
-                                 locations=[3, 41], imputed_series=np.zeros(4),
-                                 iterations_used=2),
+                                 locations=[3, 41], imputed_series=np.zeros(4)),
         detector.DetectionReport(pred_label=0, score=-1.0 / 7.0,
-                                 locations=[], imputed_series=np.zeros(4),
-                                 iterations_used=0),
+                                 locations=[], imputed_series=np.zeros(4)),
     ]
     path = tmp_path / "detect.csv"
     io.write_detect_report(path, reports)
@@ -872,9 +870,9 @@ def test_table_writers_golden_bytes(tmp_path):
         scorer.TrainLogRow(1, 1.0 / 3.0, 0.1, 5e-324, -0.0, np.float64(-6.6))])
     io.write_detect_report(tmp_path / "detect.csv", [
         detector.DetectionReport(pred_label=1, score=np.float64(0.875), locations=[3, 41],
-                                 imputed_series=np.zeros(4), iterations_used=2),
+                                 imputed_series=np.zeros(4)),
         detector.DetectionReport(pred_label=0, score=-1.0 / 7.0, locations=[],
-                                 imputed_series=np.zeros(4), iterations_used=0)])
+                                 imputed_series=np.zeros(4))])
     expected = {
         "params.csv": b"series_id,s0,mu,sigma\n0,100,-0,0.20000000000000001\n"
                       b"1,0.33333333333333331,0.10000000000000001,2.2250738585072014e-308\n"

@@ -68,7 +68,7 @@ def test_var_estimates_price_each_variant_against_theo():
     nothing_predicted = np.zeros_like(truth)
     estimates, errors = workflows.var_estimates(
         clean.prices, dirty.prices, truth, nothing_predicted, clean.mu, clean.sigma, 0.5,
-        clean.dt, 1, portfolio, 0.99)
+        clean.dt, 1, portfolio, 0.99, pca=None)  # BF imputes without the PCA
 
     def fitted(prices):
         model = riskmetrics.estimate_params(riskmetrics.log_returns(prices))

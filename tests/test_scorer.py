@@ -565,7 +565,7 @@ def test_training_never_writes_into_an_iterate_it_handed_out(monkeypatch):
 
 
 def test_naive_scores_are_row_norms():
-    assert scorer.naive_scores(np.array([3.0, 4.0])) == 5.0
+    np.testing.assert_array_equal(scorer.naive_scores(np.array([[3.0, 4.0]])), [5.0])
     eps = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 1.0]])
     np.testing.assert_allclose(scorer.naive_scores(eps), [5.0, 0.0, np.sqrt(2.0)], rtol=1e-15)
 
