@@ -7,8 +7,9 @@ Re-running with the same inputs reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 I/O or parse problem, 3 validation or dimension
 problem, 4 numerical failure. No command that exits non-zero leaves a file it
-wrote: a command computes all its outputs before main writes them, and a failed
-write removes what was written. Unless --quiet, success prints one line:
+wrote: a command computes all its outputs before main writes them, two outputs
+on one path exit 3 before any is written, and a failed write removes what was
+written. Unless --quiet, success prints one line:
 "wrote PATH, PATH, ... (FIGURES)". Options may also come from a flat key=value
 config file (--config): each line is parsed as the flag --key=value, placed
 before the command line's own flags, so a config value is checked exactly as
@@ -125,12 +126,12 @@ def cmd_simulate(args):
     contaminated = np.hstack([panels.contaminated_train.prices,
                               panels.contaminated_test.prices])
     value_labels = np.hstack([panels.train_value_labels, panels.test_value_labels])
-    return {
-        "clean_panel.csv": lambda p: io.write_panel(p, clean),
-        "contaminated_panel.csv": lambda p: io.write_panel(p, contaminated),
-        "value_labels.csv": lambda p: io.write_value_labels(p, value_labels),
-        "params.csv": lambda p: io.write_params(p, panels.clean_train),
-    }, ""
+    return [
+        ("clean_panel.csv", lambda p: io.write_panel(p, clean)),
+        ("contaminated_panel.csv", lambda p: io.write_panel(p, contaminated)),
+        ("value_labels.csv", lambda p: io.write_value_labels(p, value_labels)),
+        ("params.csv", lambda p: io.write_params(p, panels.clean_train)),
+    ], ""
 
 
 def cmd_augment(args):
@@ -148,11 +149,10 @@ def cmd_augment(args):
     panels = {name: workflows.labeled_windows(part_prices, part_labels, name,
                                               args.window_length, args.r_c, args.seed)
               for name, part_prices, part_labels in parts}
-    outputs = {}
-    for name, panel in panels.items():
-        outputs[f"windows_{name}.csv"] = lambda p, panel=panel: io.write_panel(p, panel.windows)
-        outputs[f"labels_{name}.csv"] = lambda p, panel=panel: io.write_labels(
-            p, panel.ident_labels, panel.loc_labels)
+    outputs = [output for name, panel in panels.items() for output in (
+        (f"windows_{name}.csv", lambda p, panel=panel: io.write_panel(p, panel.windows)),
+        (f"labels_{name}.csv",
+         lambda p, panel=panel: io.write_labels(p, panel.ident_labels, panel.loc_labels)))]
     return outputs, ", ".join(f"{panel.n_rows} {name} rows" for name, panel in panels.items())
 
 
@@ -163,11 +163,11 @@ def cmd_fit(args):
         temperature=args.tau, seed=workflows.derive_seed(args.seed, "train_net"),
     )
     model, result = workflows.fit_model(windows, A, args.k, train_cfg)
-    return {
-        "pca.txt": lambda p: io.write_pca_model(p, model.pca),
-        "net.txt": lambda p: io.write_network(p, result.network),
-        "training_log.csv": lambda p: io.write_training_log(p, result.history),
-    }, f"best loss {result.best_loss:.6g} at iteration {result.best_iteration}"
+    return [
+        ("pca.txt", lambda p: io.write_pca_model(p, model.pca)),
+        ("net.txt", lambda p: io.write_network(p, result.network)),
+        ("training_log.csv", lambda p: io.write_training_log(p, result.history)),
+    ], f"best loss {result.best_loss:.6g} at iteration {result.best_iteration}"
 
 
 def cmd_detect(args):
@@ -175,10 +175,10 @@ def cmd_detect(args):
     model = _load_model(args)
     reports = detector.detect_batch(model, windows, method=args.method,
                                     max_iter=args.max_iter)
-    outputs = {"detect_report.csv": lambda p: io.write_detect_report(p, reports)}
+    outputs = [("detect_report.csv", lambda p: io.write_detect_report(p, reports))]
     if args.cleaned:
-        outputs[args.cleaned] = lambda p: io.write_panel(
-            p, np.vstack([r.imputed_series for r in reports]))
+        outputs.append((args.cleaned, lambda p: io.write_panel(
+            p, np.vstack([r.imputed_series for r in reports]))))
     return outputs, f"{sum(r.pred_label for r in reports)} of {len(reports)} rows flagged"
 
 
@@ -195,25 +195,25 @@ def cmd_evaluate(args):
     if "loc" in metrics:
         report["localization"] = metrics["loc"]
         report["dummy_localization_accuracy"] = metrics["dummy_loc_accuracy"]
-    outputs = {}
+    outputs = []
     if args.prc:
         curve = evaluation.precision_recall_curve(scored.scores, A)
-        outputs[args.prc] = lambda p: io.write_rows(
+        outputs.append((args.prc, lambda p: io.write_rows(
             p, ["threshold", "recall", "precision"],
-            zip(curve.thresholds, curve.recall, curve.precision))
+            zip(curve.thresholds, curve.recall, curve.precision))))
         report["prc_auc"] = curve.auc
     if args.robustness:
         table = evaluation.cutoff_robustness(scored.scores, model.net.cutoff, A)
-        outputs[args.robustness] = lambda p: io.write_rows(
+        outputs.append((args.robustness, lambda p: io.write_rows(
             p, ["gamma", "accuracy", "precision", "recall", "f1"],
-            [(g, m.accuracy, m.precision, m.recall, m.f1) for g, m in table])
+            [(g, m.accuracy, m.precision, m.recall, m.f1) for g, m in table])))
     if args.adf:
         p_values, reject_rate = workflows.adf_study(scored.epsilon)
-        outputs[args.adf] = lambda p: io.write_rows(
+        outputs.append((args.adf, lambda p: io.write_rows(
             p, ["statistic", "mean_p", "max_p", "reject_rate"],
-            [("summary", float(p_values.mean()), float(p_values.max()), reject_rate)])
+            [("summary", float(p_values.mean()), float(p_values.max()), reject_rate)])))
         report["adf_reject_rate"] = reject_rate
-    outputs["metrics.json"] = lambda p: io.write_json(p, report)
+    outputs.append(("metrics.json", lambda p: io.write_json(p, report)))
     return outputs, f"identification F1 {report['identification'].f1:.4f}"
 
 
@@ -246,7 +246,7 @@ def cmd_var(args):
         "errors": {tag: {"absolute": absolute, "relative": relative}
                    for tag, (absolute, relative) in errors.items()},
     }
-    return {"var_report.json": lambda p: io.write_json(p, payload)}, \
+    return [("var_report.json", lambda p: io.write_json(p, payload))], \
         f"VaR theo {estimates['theo']:.6g}, loc_pred {estimates['loc_pred']:.6g}"
 
 
@@ -274,22 +274,22 @@ def cmd_bench(args):
     started = time.perf_counter()
     records = [_bench_run(replace(base, seed=seed), args.buckets, args.quiet) for seed in seeds]
     flat = [metrics for metrics, _ in records]
-    mean, std = evaluation.aggregate(flat)
-    keys = list(mean)
+    aggregated = evaluation.aggregate(flat)
+    keys = list(aggregated.mean)
     summary = {
         "runs": len(seeds),
         "seeds": seeds,
-        "mean": mean,
-        "std": std,
+        "mean": aggregated.mean,
+        "std": aggregated.std,
         "wall_seconds": time.perf_counter() - started,
     }
-    outputs = {
-        "bench_summary.json": lambda p: io.write_json(p, summary),
-        "bench_runs.csv": lambda p: io.write_rows(
+    outputs = [
+        ("bench_summary.json", lambda p: io.write_json(p, summary)),
+        ("bench_runs.csv", lambda p: io.write_rows(
             p, ["seed"] + keys,
             [[seed] + [flat[i].get(k, float("nan")) for k in keys]
-             for i, seed in enumerate(seeds)]),
-    }
+             for i, seed in enumerate(seeds)])),
+    ]
     if args.buckets:
         ratios = [[] for _ in range(4)]  # per bucket, the runs where it holds rows
         edges = []
@@ -298,11 +298,11 @@ def cmd_bench(args):
                 if b.ratio is not None:
                     held.append(b.ratio)
             edges.append([(b.low, b.high) for b in buckets])
-        outputs[args.buckets] = lambda p: io.write_rows(
+        outputs.append((args.buckets, lambda p: io.write_rows(
             p, ["bucket", "mean_low", "mean_high", "mean_ratio"],
             [(i + 1, float(np.mean([e[i][0] for e in edges])),
               float(np.mean([e[i][1] for e in edges])),
-              sum(ratios[i]) / len(ratios[i]) if ratios[i] else "") for i in range(4)])
+              sum(ratios[i]) / len(ratios[i]) if ratios[i] else "") for i in range(4)])))
     return outputs, ""
 
 
@@ -314,13 +314,16 @@ def _stamp(path):
 
 
 def _write_outputs(args, outputs, figures):
-    """Run each writer on its file in --out-dir, in order, then print the status line.
-    A failed write removes the files written, the failing one unless untouched."""
+    """Run each (name, writer) pair on its file in --out-dir, in order, unless two name one
+    path. A failed write removes the files written, the failing one unless untouched."""
+    paths = [os.path.join(args.out_dir, name) for name, _ in outputs]
+    for index, path in enumerate(paths):
+        if os.path.normpath(path) in map(os.path.normpath, paths[:index]):
+            raise ValueError(f"two outputs of {args.command} name the file {path!r}")
     if outputs and not os.path.isdir(args.out_dir):
         raise InputError(f"output directory {args.out_dir!r} does not exist")
     written = []
-    for name, write in outputs.items():
-        path = os.path.join(args.out_dir, name)
+    for path, (_, write) in zip(paths, outputs):
         before = _stamp(path)
         try:
             write(path)

@@ -81,8 +81,6 @@ def fit_kde(samples) -> KdeModel:
     For a fixed bandwidth, build KdeModel(samples, bandwidth) directly.
     """
     samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size == 0:
-        raise ValueError("samples must be non-empty")
     return KdeModel(samples=samples.copy(), bandwidth=silverman_bandwidth(samples))
 
 

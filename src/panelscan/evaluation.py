@@ -42,7 +42,10 @@ class PrcCurve:
     recall: np.ndarray
     precision: np.ndarray
     thresholds: np.ndarray
-    auc: float
+
+    @property
+    def auc(self):
+        return float(np.trapezoid(self.precision, self.recall))
 
 
 @dataclass
@@ -51,7 +54,10 @@ class AdfResult:
     lag_order: int
     p_value: float
     critical_5pct: float
-    reject_5pct: bool
+
+    @property
+    def reject_5pct(self):
+        return self.statistic < self.critical_5pct
 
 
 @dataclass
@@ -154,11 +160,8 @@ def precision_recall_curve(scores, A) -> PrcCurve:
     # ties in recall keep the highest cut-off first so the trapezoid reads
     # the best precision attained at each recall level
     order = np.lexsort((-thresholds, recall))
-    recall = recall[order]
-    precision = precision[order]
-    thresholds = thresholds[order]
-    auc = float(np.trapezoid(precision, recall))
-    return PrcCurve(recall=recall, precision=precision, thresholds=thresholds, auc=auc)
+    return PrcCurve(recall=recall[order], precision=precision[order],
+                    thresholds=thresholds[order])
 
 
 # MacKinnon surfaces for the constant-only, single-series case.
@@ -212,7 +215,7 @@ def _adf_batch(series) -> _AdfRows:
     inverse Gram matrix. Rows go through in fixed chunks, so memory does not
     grow with n, and a row's result does not depend on the rows around it.
     """
-    x = np.atleast_2d(np.asarray(series, dtype=float))
+    x = np.asarray(series, dtype=float)
     n_rows, n = x.shape
     lag_order = schwert_lag(n)
     n_regressors = lag_order + 2
@@ -252,10 +255,8 @@ def _adf_batch(series) -> _AdfRows:
 def adf_test(series) -> AdfResult:
     """Augmented Dickey-Fuller test with intercept, no trend, at the Schwert lag."""
     rows = _adf_batch(np.ravel(series)[None, :])
-    stat = float(rows.statistics[0])
-    return AdfResult(statistic=stat, lag_order=rows.lag_order,
-                     p_value=float(rows.p_values[0]), critical_5pct=rows.critical_5pct,
-                     reject_5pct=bool(stat < rows.critical_5pct))
+    return AdfResult(statistic=float(rows.statistics[0]), lag_order=rows.lag_order,
+                     p_value=float(rows.p_values[0]), critical_5pct=rows.critical_5pct)
 
 
 def flatten_metrics(result, prefix=""):
@@ -294,15 +295,14 @@ def multirun(experiment, seeds) -> MultirunResult:
             runs.append(flatten_metrics(experiment(seed)))
         except Exception as exc:
             raise RuntimeError(f"run {index} (seed {seed}) failed: {exc}") from exc
-    mean, std = aggregate(runs)
-    return MultirunResult(mean=mean, std=std)
+    return aggregate(runs)
 
 
-def aggregate(runs):
+def aggregate(runs) -> MultirunResult:
     """Mean and sample std (ddof 1) of each flat metric over the runs that report it.
 
-    Returns (mean, std) dicts keyed in sorted order; a metric that only one
-    run reports has std 0.
+    Both dicts are keyed in sorted order; a metric that only one run reports
+    has std 0.
     """
     mean = {}
     std = {}
@@ -310,7 +310,7 @@ def aggregate(runs):
         values = np.array([run[key] for run in runs if key in run], dtype=float)
         mean[key] = float(values.mean())
         std[key] = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return mean, std
+    return MultirunResult(mean=mean, std=std)
 
 
 def cutoff_robustness(scores, cutoff, A):

@@ -2,14 +2,15 @@
 
 Every file is UTF-8 with LF line endings and `.` as the decimal point.
 Floats are written with 17 significant digits, so write/read round trips
-reproduce the in-memory values bit-exactly. Three readers take files apart:
-`read_panel` (panels, windows, value labels) streams rows into one
-`np.loadtxt` call and keeps each row's id as the file spells it;
-`_read_table` (params, weights, window labels, detect reports) checks the
-header, skips blank rows and wants one field per column in every other row;
-`_ModelCursor` (`pca.txt`, `net.txt`) checks the format tag, then reads
-tagged value lines and name-headed matrix blocks in order, with no line
-missing and none left over. All three share one number grammar: a float
+reproduce the in-memory values bit-exactly; a panel's cell format follows
+its array's dtype, so integer value labels are written as integers. Three
+readers take files apart: `read_panel` (panels, windows, value labels)
+streams rows into one `np.loadtxt` call and keeps each row's id as the file
+spells it; `_read_table` (params, weights, window labels, detect reports)
+checks the header, skips blank rows and wants one field per column in every
+other row; `_ModelCursor` (`pca.txt`, `net.txt`) checks the format tag, then
+reads tagged value lines and name-headed matrix blocks in order, with no
+line missing and none left over. All three share one number grammar: a float
 reads as `np.loadtxt` reads it (what `float` takes, less underscores and
 non-ASCII characters), and a count (k, p, dims, label A and L, a report's
 ids, flags, locations and iterations) is ASCII decimal digits only. Readers
@@ -134,12 +135,13 @@ def _price_rows(lines, T, ids, path):
         yield line
 
 
-def write_panel(path, prices, fmt=_FLOAT_FMT):
+def write_panel(path, prices):
     """Panel CSV: header series_id,t_1,...,t_T, one row per series, ids 0..n-1.
 
+    The cell format follows the dtype: `%d` for integers, `%.17g` otherwise.
     Rows go out in blocks of `_PANEL_BLOCK_ROWS`. In each block every distinct
-    bit pattern is formatted once with `"%" + fmt` (`"%.17g" % v` writes the
-    same bytes as `format(v, ".17g")`), and the rows join the cached strings.
+    bit pattern is formatted once (`"%.17g" % v` writes the same bytes as
+    `format(v, ".17g")`), and the rows join the cached strings.
     Overlapping windows repeat most of their neighbours' values, so most cells
     cost a lookup. Keying on bits keeps -0.0 apart from 0.0.
     """
@@ -147,7 +149,7 @@ def write_panel(path, prices, fmt=_FLOAT_FMT):
     n, T = prices.shape
     if T == 0:
         raise ValueError("a panel needs at least one column")
-    spec = "%" + fmt
+    spec = "%d" if np.issubdtype(prices.dtype, np.integer) else "%" + _FLOAT_FMT
     bits = f"u{prices.dtype.itemsize}"
     with _open_write(path) as handle:
         _writer(handle).writerow(["series_id"] + [f"t_{j}" for j in range(1, T + 1)])
@@ -195,13 +197,11 @@ def read_panel(path):
 
 def write_value_labels(path, labels):
     """Value-level label matrix in the panel layout, integer cells."""
-    write_panel(path, np.atleast_2d(np.asarray(labels, dtype=np.int64)), fmt="d")
+    write_panel(path, np.asarray(labels, dtype=np.int64))
 
 
 def read_value_labels(path):
     ids, values = read_panel(path)
-    if not np.array_equal(np.round(values), values):
-        raise ValueError(f"{path}: value labels must be integers")
     if not np.all((values == 0) | (values == 1)):
         raise ValueError(f"{path}: value labels must be 0 or 1")
     return ids, values.astype(np.int64)
@@ -336,7 +336,7 @@ def read_pca_model(path) -> PcaModel:
     eigenvalues = _finite(lines.values("eigenvalues", k), path, "eigenvalues")
     omega = _finite(lines.matrix("omega", k, p), path, "omega")
     lines.end(f"the {k} omega rows")
-    model = PcaModel(mean=mean, omega=omega, eigenvalues=eigenvalues, k=k)
+    model = PcaModel(mean=mean, omega=omega, eigenvalues=eigenvalues)
     _require_basis(model, path)
     return model
 
@@ -383,8 +383,7 @@ def read_network(path) -> ScoringNetwork:
         weights.append(_finite(lines.matrix(f"W{layer}", fan_out, fan_in), path, f"W{layer}"))
         biases.append(_finite(lines.values(f"b{layer}", fan_out), path, f"b{layer}"))
     lines.end(f"b{len(dims) - 1}")
-    return ScoringNetwork(layer_dims=dims, weights=weights, biases=biases,
-                          cutoff=s, temperature=tau)
+    return ScoringNetwork(weights=weights, biases=biases, cutoff=s, temperature=tau)
 
 
 # -- reports -----------------------------------------------------------------

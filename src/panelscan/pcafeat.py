@@ -25,7 +25,10 @@ class PcaModel:
     mean: np.ndarray         # length-p training column means
     omega: np.ndarray        # k x p, rows orthonormal
     eigenvalues: np.ndarray  # k dominant eigenvalues, descending
-    k: int
+
+    @property
+    def k(self):
+        return self.omega.shape[0]
 
     @property
     def window_length(self):
@@ -85,7 +88,7 @@ def fit_pca(X_train, k) -> PcaModel:
     eigenvalues, eigenvectors = _eigh_descending(cov)
     eigenvalues = np.clip(eigenvalues, 0.0, None)  # covariance is PSD; clip round-off
     return PcaModel(mean=mean, omega=eigenvectors[:, :k].T.copy(),
-                    eigenvalues=eigenvalues[:k].copy(), k=k)
+                    eigenvalues=eigenvalues[:k].copy())
 
 
 def reconstruction_errors(model: PcaModel, X) -> FeatureMatrix:

@@ -19,7 +19,8 @@ and per-score derivatives are kernel CDF derivatives. Everything else is
 plain backpropagation, written in the layout of theta = [W..., b..., s], the
 one vector Adam steps on. The optimizer is Adam on 16-row minibatches by default;
 the loss is observed on the full training set at every iteration, and the
-returned parameters are the best-loss snapshot.
+returned parameters are the best-loss snapshot. A loss observation has one
+record, TrainLogRow, whether train logs it or loss_terms returns it.
 
 A pool of observer threads runs the full-set observations while the calling
 thread takes the Adam steps alone. An observation reads only its own iterate,
@@ -53,11 +54,14 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 @dataclass
 class ScoringNetwork:
-    layer_dims: list
     weights: list    # W^l of shape (dims[l+1], dims[l])
     biases: list     # b^l of shape (dims[l+1],)
     cutoff: float
     temperature: float
+
+    @property
+    def layer_dims(self):
+        return [self.weights[0].shape[1], *(W.shape[0] for W in self.weights)]
 
 
 @dataclass
@@ -70,15 +74,8 @@ class TrainConfig:
 
 
 @dataclass
-class LossTerms:
-    total: float
-    bce: float
-    auc_u: float
-    auc_c: float
-
-
-@dataclass
 class TrainLogRow:
+    """One loss observation: total, terms and cut-off; iteration is None outside training."""
     iteration: int
     loss: float
     bce: float
@@ -126,8 +123,9 @@ def forward(net: ScoringNetwork, epsilon):
     round-off.
     """
     batch = np.asarray(epsilon, dtype=float)
-    if batch.ndim not in (1, 2) or batch.shape[-1] != net.layer_dims[0]:
-        raise ValueError(f"expected rows of length {net.layer_dims[0]}, got shape {batch.shape}")
+    width = net.weights[0].shape[1]
+    if batch.ndim not in (1, 2) or batch.shape[-1] != width:
+        raise ValueError(f"expected rows of length {width}, got shape {batch.shape}")
     if batch.ndim == 1:
         a = np.ascontiguousarray(batch)  # BLAS dot sums a strided row in another order
         for W, b in zip(net.weights[:-1], net.biases[:-1]):
@@ -212,10 +210,11 @@ def _gradients(net, batch, A, bandwidths=None):
     return grad
 
 
-def _as_batch(net, epsilon, A):
+def _as_batch(epsilon, A, width):
+    """2-D rows and flat labels, one per row; a width of None skips the width check."""
     batch = np.atleast_2d(np.asarray(epsilon, dtype=float))
-    if batch.shape[1] != net.layer_dims[0]:
-        raise ValueError(f"expected rows of length {net.layer_dims[0]}, got {batch.shape[1]}")
+    if width is not None and batch.shape[1] != width:
+        raise ValueError(f"expected rows of length {width}, got {batch.shape[1]}")
     labels = np.asarray(A, dtype=float).ravel()
     if labels.size != batch.shape[0]:
         raise ValueError("labels and batch disagree on the number of rows")
@@ -239,29 +238,29 @@ def _observe(net, batch, labels, classes, bandwidths=None):
     bce = -float(np.mean(labels * np.log(p_hat) + (1.0 - labels) * np.log(1.0 - p_hat)))
     auc_u = float(np.mean(ndtr((scores_u - s) / h_u)))
     auc_c = float(np.mean(ndtr((s - scores_c) / h_c)))
-    return LossTerms(total=bce + auc_u + auc_c, bce=bce, auc_u=auc_u, auc_c=auc_c)
+    return TrainLogRow(None, bce + auc_u + auc_c, bce, auc_u, auc_c, s)
 
 
-def loss_terms(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> LossTerms:
-    """Loss decomposition at the current parameters.
+def loss_terms(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> TrainLogRow:
+    """Loss decomposition at the current parameters, as one training observation's row.
 
     bandwidths pins (h_u, h_c) explicitly; by default they are refit on the
     current scores with Silverman's rule, exactly as one training
     observation sees them.
     """
-    batch, labels = _as_batch(net, epsilon_batch, A)
+    batch, labels = _as_batch(epsilon_batch, A, net.weights[0].shape[1])
     return _observe(net, batch, labels, _class_indices(labels), bandwidths)
 
 
 def loss(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> float:
-    return loss_terms(net, epsilon_batch, A, bandwidths=bandwidths).total
+    return loss_terms(net, epsilon_batch, A, bandwidths=bandwidths).loss
 
 
 def loss_gradient(net: ScoringNetwork, epsilon_batch, A, bandwidths=None) -> ScoringNetwork:
     """Exact gradient of the loss, built in theta's layout as training builds it
     and read in the network's shape: weights, biases and cutoff hold d loss / d W^l,
     d b^l and d s; temperature is the network's own."""
-    batch, labels = _as_batch(net, epsilon_batch, A)
+    batch, labels = _as_batch(epsilon_batch, A, net.weights[0].shape[1])
     _class_indices(labels)  # raises on a single-class batch
     return _network(_gradients(net, batch, labels, bandwidths), net.layer_dims, net.temperature)
 
@@ -293,8 +292,8 @@ def _network(theta, dims, temperature):
     for fan_out in dims[1:]:
         biases.append(theta[offset:offset + fan_out])
         offset += fan_out
-    return ScoringNetwork(layer_dims=list(dims), weights=weights, biases=biases,
-                          cutoff=float(theta[offset]), temperature=temperature)
+    return ScoringNetwork(weights=weights, biases=biases, cutoff=float(theta[offset]),
+                          temperature=temperature)
 
 
 def _adam_step(theta, m, v, g, t, learning_rate):
@@ -376,11 +375,8 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         raise ValueError(f"hidden widths must be >= 1, got {tuple(cfg.hidden_dims)}")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    # column-major once: every observation below runs forward on the whole set
-    batch = np.asfortranarray(np.atleast_2d(np.asarray(epsilon_train, dtype=float)))
-    labels = np.asarray(A_train, dtype=float).ravel()
-    if labels.size != batch.shape[0]:
-        raise ValueError("labels and batch disagree on the number of rows")
+    batch, labels = _as_batch(epsilon_train, A_train, None)
+    batch = np.asfortranarray(batch)  # once: every observation runs forward on the whole set
     classes = _class_indices(labels)
 
     rng = np.random.default_rng(cfg.seed)
@@ -412,16 +408,16 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     def _book_oldest():
         nonlocal best, best_loss, best_iteration
         iteration, iterate, future = pending.popleft()
-        terms = future.result()
-        history.append(TrainLogRow(iteration, terms.total, terms.bce,
-                                   terms.auc_u, terms.auc_c, iterate.cutoff))
-        if not np.isfinite(terms.total):
+        row = future.result()
+        row.iteration = iteration
+        history.append(row)
+        if not np.isfinite(row.loss):
             raise FloatingPointError(
                 f"training diverged at iteration {iteration}: "
-                f"loss={terms.total}, bce={terms.bce}, "
-                f"auc_u={terms.auc_u}, auc_c={terms.auc_c}")
-        if terms.total < best_loss:
-            best_loss = terms.total
+                f"loss={row.loss}, bce={row.bce}, "
+                f"auc_u={row.auc_u}, auc_c={row.auc_c}")
+        if row.loss < best_loss:
+            best_loss = row.loss
             best = iterate
             best_iteration = iteration
 

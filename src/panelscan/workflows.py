@@ -265,7 +265,7 @@ def detect_panel(model: detector.DetectionModel, prices, method=detector.DEFAULT
     argmax rarely repeats across different window boundaries, so consensus
     suppresses the false stamps any one window would contribute.
     """
-    prices = np.atleast_2d(np.asarray(prices, dtype=float))
+    prices = np.asarray(prices, dtype=float)
     n_stocks, n_steps = prices.shape
     p = model.pca.window_length
     if p > n_steps:
@@ -293,8 +293,8 @@ def impute_panel(prices, stamp_labels, method=detector.DEFAULT_METHOD,
     value stays as observed); PCA_RECON rebuilds each stamp from the window of
     observed values centered on it, clipped to the series bounds.
     """
-    prices = np.atleast_2d(np.asarray(prices, dtype=float))
-    stamp_labels = np.atleast_2d(np.asarray(stamp_labels))
+    prices = np.asarray(prices, dtype=float)
+    stamp_labels = np.asarray(stamp_labels)
     if stamp_labels.shape != prices.shape:
         raise ValueError("stamp labels shape does not match prices shape")
     if method not in detector.IMPUTATION_METHODS:

@@ -887,6 +887,29 @@ def test_a_failed_write_keeps_a_file_it_left_untouched(workdir, tmp_path, monkey
     assert (tmp_path / "cleaned.csv").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("evaluate", ["--prc", "metrics.json"]),
+    ("evaluate", ["--prc", "t.csv", "--robustness", "t.csv"]),
+    ("evaluate", ["--prc", "t.csv", "--robustness", "./t.csv"]),
+    ("detect", ["--cleaned", "detect_report.csv"]),
+    ("bench", ["--buckets", "bench_summary.json"]),
+], ids=["evaluate-prc", "evaluate-prc-robustness", "evaluate-normpath", "detect-cleaned",
+        "bench-buckets"])
+def test_two_outputs_on_one_path_exit_3_and_leave_the_out_dir_as_it_was(
+        workdir, tmp_path, capsys, command, flags):
+    inputs = {
+        "evaluate": ["--windows", workdir / "windows_test.csv",
+                     "--labels", workdir / "labels_test.csv", *_model_flags(workdir)],
+        "detect": ["--windows", workdir / "windows_test.csv", *_model_flags(workdir)],
+        "bench": ["--runs", 2, *SIM_FLAGS],
+    }[command]
+    (tmp_path / "t.csv").write_text("kept\n")
+    assert _run(command, "--out-dir", tmp_path, "--quiet", *inputs, *flags) == 3
+    assert "name the file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert (tmp_path / "t.csv").read_text() == "kept\n"
+
+
 def test_config_value_outside_the_choices_exits_2(workdir, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("method=bogus\n")

@@ -23,7 +23,6 @@ def _planted_model(p=10, seed=0):
     pca = pcafeat.fit_pca(X, k=2)
     W0 = np.vstack([np.eye(p), -np.eye(p)])
     net = scorer.ScoringNetwork(
-        layer_dims=[p, 2 * p, 1],
         weights=[W0, np.ones((1, 2 * p))],
         biases=[np.zeros(2 * p), np.zeros(1)],
         cutoff=0.05,
@@ -34,7 +33,7 @@ def _planted_model(p=10, seed=0):
 
 def test_model_dimension_guard():
     model, _ = _planted_model()
-    bad_net = scorer.ScoringNetwork(layer_dims=[7, 1], weights=[np.ones((1, 7))],
+    bad_net = scorer.ScoringNetwork(weights=[np.ones((1, 7))],
                                     biases=[np.zeros(1)], cutoff=0.0, temperature=1.0)
     with pytest.raises(ValueError):
         detector.DetectionModel(pca=model.pca, net=bad_net)
@@ -66,9 +65,9 @@ def test_localize_finds_the_spike():
 
 def test_localize_tie_breaks_to_first_index():
     pca = pcafeat.PcaModel(mean=np.zeros(4), omega=np.zeros((1, 4)),
-                           eigenvalues=np.ones(1), k=1)
+                           eigenvalues=np.ones(1))
     pca.omega[0, 0] = 1.0
-    net = scorer.ScoringNetwork(layer_dims=[4, 1], weights=[np.zeros((1, 4))],
+    net = scorer.ScoringNetwork(weights=[np.zeros((1, 4))],
                                 biases=[np.zeros(1)], cutoff=0.0, temperature=1.0)
     model = detector.DetectionModel(pca=pca, net=net)
     # epsilon = -(x - mean) outside the first axis: equal spikes at 2 and 4
@@ -178,7 +177,7 @@ def test_detect_iterative_flags_repeated_location():
     X = np.vstack([np.ones(p) + 0.01 * rng.standard_normal(p) for _ in range(50)])
     pca = pcafeat.fit_pca(X, k=1)
     always_on = scorer.ScoringNetwork(
-        layer_dims=[p, 1], weights=[np.zeros((1, p))], biases=[np.ones(1)],
+        weights=[np.zeros((1, p))], biases=[np.ones(1)],
         cutoff=0.0, temperature=1.0)
     model = detector.DetectionModel(pca=pca, net=always_on)
     report = detector.detect_iterative(model, X[0], method="PCA_RECON", max_iter=50)
@@ -271,7 +270,7 @@ def test_detect_batch_repeat_guard_matches_per_row():
     X = np.ones((50, p)) + 0.01 * rng.standard_normal((50, p))
     pca = pcafeat.fit_pca(X, k=1)
     always_on = scorer.ScoringNetwork(
-        layer_dims=[p, 1], weights=[np.zeros((1, p))], biases=[np.ones(1)],
+        weights=[np.zeros((1, p))], biases=[np.ones(1)],
         cutoff=0.0, temperature=1.0)
     model = detector.DetectionModel(pca=pca, net=always_on)
     for method in detector.IMPUTATION_METHODS:
@@ -366,7 +365,7 @@ def test_the_sign_of_a_basis_row_changes_no_bit_of_epsilon_or_what_follows():
     sign_sets = [-np.ones(40), *(rng.choice([-1.0, 1.0], 40) for _ in range(4))]
     for signs in sign_sets:
         flipped_pca = pcafeat.PcaModel(mean=pca.mean, omega=pca.omega * signs[:, None],
-                                       eigenvalues=pca.eigenvalues, k=pca.k)
+                                       eigenvalues=pca.eigenvalues)
         flipped = detector.DetectionModel(pca=flipped_pca, net=net)
         for X in (rows, rows[:1], rows[0]):
             assert np.array_equal(

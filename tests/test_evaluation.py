@@ -231,7 +231,7 @@ def _toy_model(seed=0, n=40, p=6, k=2):
     X = rng.standard_normal((n, p))
     pca = pcafeat.fit_pca(X, k)
     net = scorer.ScoringNetwork(
-        layer_dims=[p, 1], weights=[np.ones((1, p))], biases=[np.zeros(1)],
+        weights=[np.ones((1, p))], biases=[np.zeros(1)],
         cutoff=0.0, temperature=1.0)
     return detector.DetectionModel(pca=pca, net=net), X
 

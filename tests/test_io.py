@@ -234,7 +234,7 @@ def test_value_labels_round_trip(tmp_path):
 def test_read_value_labels_rejects_fractions(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("series_id,t_1\n0,0.5\n")
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
         io.read_value_labels(path)
     for cell in ("2", "-1"):
         path.write_text(f"series_id,t_1,t_2\n0,0,{cell}\n")
@@ -350,7 +350,7 @@ def fuzz_dir(tmp_path_factory):
     rng = np.random.default_rng(3)
     io.write_pca_model(root / "pca.txt", pcafeat.fit_pca(rng.normal(size=(20, 5)), k=2))
     io.write_network(root / "net.txt", scorer.ScoringNetwork(
-        layer_dims=[5, 3, 1], weights=[rng.normal(size=(3, 5)), rng.normal(size=(1, 3))],
+        weights=[rng.normal(size=(3, 5)), rng.normal(size=(1, 3))],
         biases=[np.zeros(3), np.zeros(1)], cutoff=0.0, temperature=0.2))
     io.write_panel(root / "clean.csv", 100.0 + rng.random((2, 5)))
     io.write_value_labels(root / "value_labels.csv", np.zeros((2, 5)))
@@ -669,7 +669,6 @@ def _negative_eigenvalue(model):
 
 
 def _k_beyond_p(model):
-    model.k = 7
     model.omega = np.vstack([model.omega, np.zeros((5, 6))])
     model.eigenvalues = np.concatenate([model.eigenvalues, np.zeros(5)])
 
@@ -714,11 +713,9 @@ def test_model_readers_refuse_a_count_that_is_not_a_whole_number(tmp_path, kind,
 
 def _toy_network():
     rng = np.random.default_rng(33)
-    dims = [4, 3, 1]
     weights = [rng.normal(size=(3, 4)), rng.normal(size=(1, 3))]
     biases = [rng.normal(size=3), rng.normal(size=1)]
-    return scorer.ScoringNetwork(layer_dims=dims, weights=weights,
-                                 biases=biases, cutoff=rng.normal(),
+    return scorer.ScoringNetwork(weights=weights, biases=biases, cutoff=rng.normal(),
                                  temperature=0.2)
 
 
@@ -772,7 +769,9 @@ def test_read_network_refuses_lines_after_the_last_bias(tmp_path, extra):
 
 def test_stored_benchmark_model_files_still_load():
     root = Path(__file__).resolve().parents[1] / "perfbench" / "model"
-    assert io.read_pca_model(root / "pca.txt").omega.shape == (40, 206)
+    pca = io.read_pca_model(root / "pca.txt")
+    assert pca.omega.shape == (40, 206)
+    assert (root / "pca.txt").read_text().splitlines()[1] == f"k {pca.k}"
     assert io.read_network(root / "net.txt").layer_dims == [206, 64, 32, 1]
 
 

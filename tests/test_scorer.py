@@ -50,8 +50,8 @@ def _toy_net(dims, seed, cutoff=0.1, temperature=0.7):
     weights = [rng.uniform(-0.5, 0.5, size=(dims[l + 1], dims[l]))
                for l in range(len(dims) - 1)]
     biases = [rng.uniform(-0.5, 0.5, size=dims[l + 1]) for l in range(len(dims) - 1)]
-    return scorer.ScoringNetwork(layer_dims=list(dims), weights=weights,
-                                 biases=biases, cutoff=cutoff, temperature=temperature)
+    return scorer.ScoringNetwork(weights=weights, biases=biases, cutoff=cutoff,
+                                 temperature=temperature)
 
 
 def _toy_batch(p, n, seed):
@@ -143,12 +143,12 @@ def test_forward_validates_width():
 
 def test_symmetric_case_analytic_loss_and_gradient():
     # identity-like net: score(x) = w x with w = 0 collapses both rows to s
-    net = scorer.ScoringNetwork(layer_dims=[1, 1], weights=[np.zeros((1, 1))],
+    net = scorer.ScoringNetwork(weights=[np.zeros((1, 1))],
                                 biases=[np.zeros(1)], cutoff=0.0, temperature=1.0)
     X = np.array([[-1.0], [1.0]])
     A = np.array([0.0, 1.0])
     terms = scorer.loss_terms(net, X, A, bandwidths=(1.0, 1.0))
-    assert terms.total == pytest.approx(SYMMETRIC_LOSS, rel=1e-12)
+    assert terms.loss == pytest.approx(SYMMETRIC_LOSS, rel=1e-12)
     assert terms.bce == pytest.approx(np.log(2.0), rel=1e-12)
     assert terms.auc_u == pytest.approx(0.5, rel=1e-12)
     assert terms.auc_c == pytest.approx(0.5, rel=1e-12)
@@ -274,6 +274,17 @@ def test_training_best_loss_is_the_loss_of_the_returned_network():
     result = scorer.train(X, A, cfg)
     assert result.best_loss == scorer.loss(result.network, X, A)
     assert result.best_loss == scorer.loss(result.network, np.asfortranarray(X), A)
+
+
+def test_loss_terms_returns_the_row_that_training_logged_for_its_network():
+    X, A = _toy_batch(6, 61, seed=12)
+    cfg = scorer.TrainConfig(hidden_dims=(8, 4), max_iters=40, seed=5)
+    result = scorer.train(X, A, cfg)
+    logged = result.history[result.best_iteration]
+    terms = scorer.loss_terms(result.network, X, A)
+    assert logged.iteration == result.best_iteration and terms.iteration is None
+    for field in ("loss", "bce", "auc_u", "auc_c", "cutoff"):
+        assert getattr(terms, field).hex() == getattr(logged, field).hex(), field
 
 
 def test_training_is_deterministic_per_seed():
