@@ -6,9 +6,10 @@ draw random numbers (simulate, augment, fit, bench) draw them from --seed.
 Re-running with the same inputs reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 I/O or parse problem, 3 validation or dimension
-problem, 4 numerical failure. No command that exits non-zero leaves a file it
-wrote: a command computes all its outputs before main writes them, two outputs
-on one path exit 3 before any is written, and a failed write removes what was
+problem, 4 numerical failure. A missing --out-dir exits 2 before the command
+computes anything. No command that exits non-zero leaves a file it wrote: a
+command computes all its outputs before main writes them, two outputs on one
+path exit 3 before any is written, and a failed write removes what was
 written. Unless --quiet, success prints one line:
 "wrote PATH, PATH, ... (FIGURES)". Options may also come from a flat key=value
 config file (--config): each line is parsed as the flag --key=value, placed
@@ -27,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import detector, evaluation, io, pcafeat, riskmetrics, scorer, simgen, workflows
+from . import detector, evaluation, io, pcafeat, scorer, simgen, workflows
 
 
 class InputError(Exception):
@@ -44,10 +45,10 @@ def _read(reader, path):
 
 def _hidden_dims(text):
     try:
-        dims = tuple(int(v) for v in text.split(",") if v != "")
+        dims = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad hidden layer list {text!r}")
-    if not dims or any(d < 1 for d in dims):
+    if any(d < 1 for d in dims):
         raise argparse.ArgumentTypeError(f"bad hidden layer list {text!r}")
     return dims
 
@@ -234,11 +235,10 @@ def cmd_var(args):
         raise ValueError(f"{len(weight_ids)} weights do not name the {len(ids)} series "
                          "of the panel in its order")
     model = _load_model(args)
-    portfolio = riskmetrics.Portfolio(weights=weights)
     pred = workflows.detect_panel(model, contaminated, method=args.method)
     estimates, errors = workflows.var_estimates(
         clean, contaminated, value_labels, pred, mu, sigma, args.correlation, args.dt,
-        args.h, portfolio, args.alpha, model.pca, method=args.method)
+        args.h, weights, args.alpha, model.pca, method=args.method)
     payload = {
         "alpha": args.alpha,
         "horizon": args.h,
@@ -320,8 +320,6 @@ def _write_outputs(args, outputs, figures):
     for index, path in enumerate(paths):
         if os.path.normpath(path) in map(os.path.normpath, paths[:index]):
             raise ValueError(f"two outputs of {args.command} name the file {path!r}")
-    if outputs and not os.path.isdir(args.out_dir):
-        raise InputError(f"output directory {args.out_dir!r} does not exist")
     written = []
     for path, (_, write) in zip(paths, outputs):
         before = _stamp(path)
@@ -473,6 +471,9 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             flags = _config_flags(parsers[args.command], _read(_load_config, args.config))
             args = parser.parse_args(argv[:at] + flags + argv[at:])
+        # every command writes, so a missing directory is refused before it computes
+        if not os.path.isdir(args.out_dir):
+            raise InputError(f"output directory {args.out_dir!r} does not exist")
         _write_outputs(args, *args.func(args))
         return 0
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help

@@ -22,16 +22,6 @@ class ReturnModel:
     sigma: np.ndarray   # N x N covariance
 
 
-@dataclass
-class Portfolio:
-    weights: np.ndarray  # position units
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("portfolio weights must be finite")
-
-
 def log_returns(prices, h_steps=1):
     """Overlapping h-step log returns per series."""
     prices = np.atleast_2d(np.asarray(prices, dtype=float))
@@ -78,11 +68,15 @@ def norm_quantile(p):
     return float(ndtri(p))
 
 
-def portfolio_var(model: ReturnModel, portfolio: Portfolio, alpha) -> float:
-    """VaR_alpha = mu_P + q_alpha sigma_P for P = Q^T R, with 0.5 < alpha < 1."""
+def portfolio_var(model: ReturnModel, weights, alpha) -> float:
+    """VaR_alpha = mu_P + q_alpha sigma_P for P = Q^T R, with 0.5 < alpha < 1.
+
+    weights holds the position units Q, one per series of the model."""
     if not 0.5 < float(alpha) < 1.0:
         raise ValueError(f"alpha must lie in (0.5, 1), got {float(alpha)}")
-    weights = portfolio.weights
+    weights = np.asarray(weights, dtype=float).ravel()
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("portfolio weights must be finite")
     if weights.size != model.mu.size:
         raise ValueError("portfolio and return model disagree on dimension")
     mu_p = float(weights @ model.mu)

@@ -330,17 +330,27 @@ def _observer_count():
     return min(os.cpu_count() or 1, 4)
 
 
+def _minibatches(rng, n_rows):
+    """Row indices of each minibatch, without end: a fresh rng.permutation of the
+    n_rows rows per pass, cut into BATCH_SIZE-row slices in order. The last slice
+    of a pass may be shorter, and a set of at most BATCH_SIZE rows steps on all
+    of its rows. A pass's permutation is drawn when its first slice is asked for."""
+    while True:
+        order = rng.permutation(n_rows)
+        for start in range(0, n_rows, BATCH_SIZE):
+            yield order[start:start + BATCH_SIZE]
+
+
 def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     """Minibatch Adam on the custom loss; returns the best-loss snapshot.
 
-    Each of the max_iters iterations takes one Adam step on a minibatch of
-    BATCH_SIZE rows, shuffled anew each pass over the data; a set of at most
-    BATCH_SIZE rows steps on all of its rows. The loss is observed on the full
-    training set at every iteration and the returned parameters are the
-    snapshot with the lowest observed loss, so the log and the snapshot rule
-    are independent of the batching. Gradients on a batch use KDE bandwidths
-    refit from that batch's scores; a single-class batch gets the gradients of
-    its BCE term alone.
+    Each of the max_iters iterations takes one Adam step on the next minibatch
+    of _minibatches, drawn from the seeded RNG after the initial weights. The
+    loss is observed on the full training set at every iteration and the
+    returned parameters are the snapshot with the lowest observed loss, so the
+    log and the snapshot rule are independent of the batching. Gradients on a
+    batch use KDE bandwidths refit from that batch's scores; a single-class
+    batch gets the gradients of its BCE term alone.
 
     Adam steps on one flat vector theta = [W..., b..., s], drawn in place; each
     gradient is built in its layout. Each step makes a new theta and a new
@@ -397,9 +407,7 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
     best_loss = np.inf
     best_iteration = 0
 
-    n_rows = batch.shape[0]
-    order = np.empty(0, dtype=np.intp)
-    cursor = 0
+    batches = _minibatches(rng, batch.shape[0])
 
     observers = _observer_count()
     pool = ThreadPoolExecutor(max_workers=observers)
@@ -427,15 +435,6 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         while len(pending) > 2 * observers:
             _book_oldest()
 
-    def _minibatch_gradient():
-        nonlocal order, cursor
-        if cursor >= order.size:
-            order = rng.permutation(n_rows)
-            cursor = 0
-        idx = order[cursor:cursor + BATCH_SIZE]  # all rows of a set of fewer rows
-        cursor += BATCH_SIZE
-        return _gradients(net, batch[idx], labels[idx])
-
     # Adam's two moments, laid out as theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -444,7 +443,9 @@ def train(epsilon_train, A_train, cfg: TrainConfig = None) -> TrainResult:
         for k in range(cfg.max_iters):
             _observe_current(k)
             try:
-                theta = _adam_step(theta, m, v, _minibatch_gradient(), k + 1, cfg.learning_rate)
+                idx = next(batches)
+                gradient = _gradients(net, batch[idx], labels[idx])
+                theta = _adam_step(theta, m, v, gradient, k + 1, cfg.learning_rate)
             except Exception:
                 # a serial run books every observation up to k before step k
                 while pending:

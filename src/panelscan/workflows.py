@@ -329,9 +329,10 @@ def _fresh_panel(result: PipelineResult, study, run_index, n_anom):
 
 
 def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, h_steps,
-                  portfolio: riskmetrics.Portfolio, alpha, pca: pcafeat.PcaModel,
+                  weights, alpha, pca: pcafeat.PcaModel,
                   method=detector.DEFAULT_METHOD):
-    """The five portfolio VaR estimates and each variant's error against theo.
+    """The five VaR estimates of the portfolio with these weights, and each
+    variant's error against theo.
 
     theo comes from the generating (mu, sigma, correlation, dt); the other
     four are fitted to the clean prices, the contaminated prices, and the
@@ -346,10 +347,10 @@ def var_estimates(clean, contaminated, truth, pred, mu, sigma, correlation, dt, 
         "loc_pred": impute_panel(contaminated, pred, method=method, pca=pca),
     }
     theo_model = riskmetrics.theoretical_return_model(mu, sigma, correlation, dt, h_steps)
-    estimates = {"theo": riskmetrics.portfolio_var(theo_model, portfolio, alpha)}
+    estimates = {"theo": riskmetrics.portfolio_var(theo_model, weights, alpha)}
     for tag, prices in variants.items():
         fitted = riskmetrics.estimate_params(riskmetrics.log_returns(prices, h_steps))
-        estimates[tag] = riskmetrics.portfolio_var(fitted, portfolio, alpha)
+        estimates[tag] = riskmetrics.portfolio_var(fitted, weights, alpha)
     errors = {tag: riskmetrics.var_errors(estimates["theo"], estimates[tag]) for tag in variants}
     return estimates, errors
 
@@ -366,10 +367,10 @@ def var_run(result: PipelineResult, run_index, n_anom=4) -> dict:
     base = result.data.clean_train
     clean, contaminated, truth = _fresh_panel(result, "var", run_index, n_anom)
     pred = detect_panel(result.model, contaminated.prices)
-    portfolio = riskmetrics.Portfolio(weights=np.full(cfg.n_stocks, 1.0 / cfg.n_stocks))
     estimates, errors = var_estimates(
         clean.prices, contaminated.prices, truth, pred, base.mu, base.sigma,
-        cfg.correlation, base.dt, DEFAULT_H_STEPS, portfolio, DEFAULT_VAR_ALPHA, result.model.pca)
+        cfg.correlation, base.dt, DEFAULT_H_STEPS, np.full(cfg.n_stocks, 1.0 / cfg.n_stocks),
+        DEFAULT_VAR_ALPHA, result.model.pca)
     out = {f"var_{tag}": value for tag, value in estimates.items()}
     for tag, (absolute, relative) in errors.items():
         out[f"abs_err_{tag}"] = absolute

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from panelscan import cli, detector, evaluation, io, scorer, simgen, workflows
+from panelscan import cli, detector, evaluation, io, riskmetrics, scorer, simgen, workflows
 
 # small panel that still leaves every split with both window classes
 SIM_FLAGS = ["--stocks", "6", "--steps", "380", "--split-index", "220",
@@ -84,6 +84,22 @@ def test_simulate_missing_out_dir_exits_2(tmp_path, capsys):
     code = _run("simulate", "--out-dir", tmp_path / "nope", "--quiet", *SIM_FLAGS)
     assert code == 2
     assert "does not exist" in capsys.readouterr().err
+
+
+def test_a_missing_out_dir_exits_2_before_the_command_computes(workdir, tmp_path, capsys,
+                                                                monkeypatch):
+    def enter(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(workflows, "fit_model", enter)
+    monkeypatch.setattr(workflows, "reference_run", enter)
+    missing = tmp_path / "nope"
+    assert _run("fit", "--out-dir", missing, "--quiet", "--windows",
+                workdir / "windows_train.csv", "--labels", workdir / "labels_train.csv",
+                *FIT_FLAGS) == 2
+    assert _run("bench", "--out-dir", missing, "--quiet", "--runs", 2, *SIM_FLAGS) == 2
+    assert capsys.readouterr().err.count("does not exist") == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_rho_at_or_above_one_exits_3(tmp_path, capsys):
@@ -176,6 +192,18 @@ def test_fit_single_class_labels_exit_3(tmp_path):
     assert _run("fit", "--out-dir", tmp_path, "--quiet",
                 "--windows", tmp_path / "w.csv", "--labels", tmp_path / "l.csv",
                 "--k", 2, "--hidden", 4, "--iters", 5) == 3
+
+
+@pytest.mark.parametrize("hidden", ["64,,32", "16,", ",16", "", "8,0"])
+def test_fit_refuses_a_hidden_layer_list_with_an_empty_or_zero_width(
+        workdir, tmp_path, capsys, hidden):
+    config = tmp_path / "fit.cfg"
+    config.write_text(f"hidden = {hidden}\n")
+    inputs = ["--windows", workdir / "windows_train.csv", "--labels", workdir / "labels_train.csv"]
+    for flags in (["--hidden", hidden], ["--config", config]):
+        assert _run("fit", "--out-dir", tmp_path, "--quiet", *inputs, *flags) == 2
+        assert f"bad hidden layer list {hidden!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["fit.cfg"]
 
 
 @pytest.mark.parametrize("flag", ["--lr", "--tau"])
@@ -494,6 +522,26 @@ def test_var_refuses_a_horizon_below_one_step(workdir, tmp_path, capsys, h):
     assert f"h_steps must be >= 1, got {h}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "var_report.json").exists()
+
+
+def test_var_prices_unequal_weights_in_series_order(workdir, tmp_path):
+    weights = [0.4, -0.1, 0.25, 0.05, 0.3, 0.1]
+    (tmp_path / "weights.csv").write_text(
+        "series_id,weight\n" + "".join(f"{i},{w!r}\n" for i, w in enumerate(weights)))
+    assert _run(*_var_flags(workdir, tmp_path), "--panel", workdir / "contaminated_panel.csv",
+                "--weights", tmp_path / "weights.csv") == 0
+    estimates = io.read_json(tmp_path / "var_report.json")["var"]
+    # theo and clean need no detector: price them here from the same files
+    _, clean = io.read_panel(workdir / "clean_panel.csv")
+    _, mu, sigma = io.read_params(workdir / "params.csv")
+    models = {
+        "theo": riskmetrics.theoretical_return_model(
+            mu, sigma, workflows.PipelineConfig.correlation, simgen.DiffusionConfig.dt),
+        "clean": riskmetrics.estimate_params(riskmetrics.log_returns(clean)),
+    }
+    for tag, model in models.items():
+        assert estimates[tag] == riskmetrics.portfolio_var(model, weights, 0.99)
+        assert estimates[tag] != riskmetrics.portfolio_var(model, np.full(6, 1 / 6), 0.99)
 
 
 def test_var_weights_row_without_two_fields_exits_2(workdir, tmp_path, capsys):
@@ -953,6 +1001,9 @@ def test_a_config_file_parses_as_the_same_flags_on_the_command_line(
         monkeypatch.setattr(cli, f"cmd_{name}",
                             lambda args: seen.append(vars(args)) or ({}, ""))
     required, settings = _CONFIG_AS_FLAGS[command]
+    # main refuses a missing --out-dir before the (planted) command runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").mkdir()
     config = tmp_path / "run.cfg"
     config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
     flags = ["--" + key.replace("_", "-") + ("" if key == "quiet" else f"={value}")

@@ -64,19 +64,19 @@ def test_simulated_return_moments_match_theory():
 def test_var_estimates_price_each_variant_against_theo():
     clean = simgen.simulate_gbm(simgen.DiffusionConfig(n_stocks=3, n_steps=300, seed=4))
     dirty, truth = simgen.contaminate(clean, simgen.ContaminationConfig(n_anom=3, seed=2))
-    portfolio = riskmetrics.Portfolio(weights=np.full(3, 1.0 / 3.0))
+    weights = np.full(3, 1.0 / 3.0)
     nothing_predicted = np.zeros_like(truth)
     estimates, errors = workflows.var_estimates(
         clean.prices, dirty.prices, truth, nothing_predicted, clean.mu, clean.sigma, 0.5,
-        clean.dt, 1, portfolio, 0.99, pca=None)  # BF imputes without the PCA
+        clean.dt, 1, weights, 0.99, pca=None)  # BF imputes without the PCA
 
     def fitted(prices):
         model = riskmetrics.estimate_params(riskmetrics.log_returns(prices))
-        return riskmetrics.portfolio_var(model, portfolio, 0.99)
+        return riskmetrics.portfolio_var(model, weights, 0.99)
 
     theo = riskmetrics.portfolio_var(
         riskmetrics.theoretical_return_model(clean.mu, clean.sigma, 0.5, clean.dt),
-        portfolio, 0.99)
+        weights, 0.99)
     assert estimates["theo"] == theo
     assert estimates["clean"] == fitted(clean.prices)
     assert estimates["anom"] == estimates["loc_pred"] == fitted(dirty.prices)
@@ -120,26 +120,35 @@ def test_norm_quantile_symmetry_and_validation():
 def test_portfolio_var_standard_normal_case():
     # mu_P = 0, sigma_P = 1 reduces to the alpha-quantile itself
     model = riskmetrics.ReturnModel(mu=np.zeros(1), sigma=np.eye(1))
-    port = riskmetrics.Portfolio(weights=[1.0])
-    assert riskmetrics.portfolio_var(model, port, 0.99) == pytest.approx(
+    assert riskmetrics.portfolio_var(model, [1.0], 0.99) == pytest.approx(
         2.326347874040839, abs=1e-9)
+
+
+def test_portfolio_var_takes_the_weights_as_a_list_or_any_array_shape():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3))
+    model = riskmetrics.ReturnModel(mu=rng.standard_normal(3), sigma=a @ a.T)
+    weights = [0.5, -0.25, 2]
+    value = riskmetrics.portfolio_var(model, weights, 0.95)
+    for same in (np.array(weights), np.array(weights).reshape(3, 1),
+                 np.asfortranarray([weights])):
+        assert riskmetrics.portfolio_var(model, same, 0.95) == value
 
 
 def test_portfolio_var_unit_vector_reduces_to_single_asset():
     mu = np.array([0.01, 0.03, -0.02])
     cov = np.diag([0.04, 0.09, 0.01]) + 0.005
     model = riskmetrics.ReturnModel(mu=mu, sigma=cov)
-    whole = riskmetrics.portfolio_var(model, riskmetrics.Portfolio([0.0, 1.0, 0.0]), 0.95)
+    whole = riskmetrics.portfolio_var(model, np.array([0.0, 1.0, 0.0]), 0.95)
     single = riskmetrics.portfolio_var(
         riskmetrics.ReturnModel(mu=mu[1:2], sigma=cov[1:2, 1:2]),
-        riskmetrics.Portfolio([1.0]), 0.95)
+        [1.0], 0.95)
     assert whole == pytest.approx(single, rel=1e-12)
 
 
 def test_portfolio_var_monotone_in_alpha():
     model = riskmetrics.ReturnModel(mu=np.array([0.002]), sigma=np.array([[0.3]]))
-    port = riskmetrics.Portfolio([2.0])
-    values = [riskmetrics.portfolio_var(model, port, a)
+    values = [riskmetrics.portfolio_var(model, [2.0], a)
               for a in (0.6, 0.75, 0.9, 0.95, 0.99, 0.995)]
     assert np.all(np.diff(values) > 0)
 
@@ -149,23 +158,25 @@ def test_portfolio_var_positive_homogeneous_in_weights():
     a = rng.standard_normal((3, 3))
     model = riskmetrics.ReturnModel(mu=rng.standard_normal(3), sigma=a @ a.T)
     w = rng.standard_normal(3)
-    base = riskmetrics.portfolio_var(model, riskmetrics.Portfolio(w), 0.9)
-    scaled = riskmetrics.portfolio_var(model, riskmetrics.Portfolio(3.5 * w), 0.9)
+    base = riskmetrics.portfolio_var(model, w, 0.9)
+    scaled = riskmetrics.portfolio_var(model, 3.5 * w, 0.9)
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
 
 def test_portfolio_var_validation():
     model = riskmetrics.ReturnModel(mu=np.zeros(2), sigma=np.eye(2))
-    with pytest.raises(ValueError):
-        riskmetrics.portfolio_var(model, riskmetrics.Portfolio([1.0]), 0.99)
+    with pytest.raises(ValueError, match="disagree on dimension"):
+        riskmetrics.portfolio_var(model, [1.0], 0.99)
     for alpha in (0.4, 0.5, 1.0, 1.5, np.nan):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0\.5, 1\)"):
-            riskmetrics.portfolio_var(model, riskmetrics.Portfolio([1.0, 1.0]), alpha)
+            riskmetrics.portfolio_var(model, [1.0, 1.0], alpha)
     bad = riskmetrics.ReturnModel(mu=np.zeros(1), sigma=np.array([[-1.0]]))
     with pytest.raises(ValueError):
-        riskmetrics.portfolio_var(bad, riskmetrics.Portfolio([1.0]), 0.99)
-    with pytest.raises(ValueError):
-        riskmetrics.Portfolio([np.nan, 1.0])
+        riskmetrics.portfolio_var(bad, [1.0], 0.99)
+    # non-finite weights are refused before the dimension check
+    for weights in ([np.nan, 1.0], np.array([1.0, np.inf]), [-np.inf]):
+        with pytest.raises(ValueError, match="portfolio weights must be finite"):
+            riskmetrics.portfolio_var(model, weights, 0.99)
 
 
 def test_theoretical_return_model_from_gbm_parameters():

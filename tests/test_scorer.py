@@ -551,6 +551,34 @@ def test_init_network_draws_as_the_per_layer_loop():
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
+def _cursor_minibatches(rng, n_rows):
+    # the rule the generator replaced: a cursor into the current permutation,
+    # which is drawn anew at the first step after the cursor passed its end
+    order, cursor = np.empty(0, dtype=np.intp), 0
+    while True:
+        if cursor >= order.size:
+            order = rng.permutation(n_rows)
+            cursor = 0
+        yield order[cursor:cursor + scorer.BATCH_SIZE]
+        cursor += scorer.BATCH_SIZE
+
+
+@pytest.mark.parametrize("n_rows", [2, 15, 16, 17, 33])
+def test_minibatches_follow_the_cursor_rule_and_draw_when_it_drew(n_rows):
+    per_pass = -(-n_rows // scorer.BATCH_SIZE)
+    rng, reference = np.random.default_rng(n_rows), np.random.default_rng(n_rows)
+    batches = scorer._minibatches(rng, n_rows)
+    expected = _cursor_minibatches(reference, n_rows)
+    assert rng.bit_generator.state == np.random.default_rng(n_rows).bit_generator.state
+    for _ in range(3):
+        got = [next(batches) for _ in range(per_pass)]
+        for indices, want in zip(got, [next(expected) for _ in range(per_pass)]):
+            assert indices.tolist() == want.tolist()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        # a pass steps on every row once, all of them at once in a set of fewer rows
+        assert sorted(np.concatenate(got).tolist()) == list(range(n_rows))
+
+
 def _digest(net):
     arrays = (*net.weights, *net.biases, np.float64(net.cutoff))
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
